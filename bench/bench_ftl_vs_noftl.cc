@@ -8,6 +8,10 @@
 // logical traffic; the table reports what the architecture costs.
 //
 // Flags: dies=16 blocks=64 updates=200000 hot_frac=0.125 hot_writes=0.90
+//        out=BENCH_ftl_vs_noftl.json
+//
+// Writes both runs and the shape check as JSON to `out` and exits non-zero
+// when NoFTL does not beat the FTL on GC traffic.
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -177,6 +181,39 @@ int Main(int argc, char** argv) {
          "and pays GC for it.\n");
   const bool ok = noftl.copybacks < ftl.copybacks && noftl.wa < ftl.wa;
   printf("[%s] NoFTL beats the FTL on GC traffic\n", ok ? "ok" : "MISS");
+
+  auto run_json = [](const RunStats& r) {
+    JsonObject j;
+    j.Set("write_4k_us", r.write_us)
+        .Set("read_4k_us", r.read_us)
+        .Set("write_amp", r.wa)
+        .Set("gc_copybacks", r.copybacks)
+        .Set("gc_erases", r.erases);
+    return j;
+  };
+  JsonObject config;
+  config.Set("device", geo.ToString())
+      .Set("updates", flags.GetInt("updates", 200000))
+      .Set("hot_writes", flags.GetDouble("hot_writes", 0.90))
+      .Set("hot_pages", hot_pages)
+      .Set("cold_pages", cold_pages);
+  JsonObject out;
+  out.Set("bench", std::string("ftl_vs_noftl"))
+      .Set("config", config)
+      .Set("ftl", run_json(ftl))
+      .Set("noftl", run_json(noftl))
+      .Set("shape_ok", ok ? 1 : 0);
+  const std::string path = flags.GetString("out", "BENCH_ftl_vs_noftl.json");
+  if (!out.WriteFile(path)) {
+    fprintf(stderr, "cannot write %s\n", path.c_str());
+    return 1;
+  }
+  printf("wrote %s\n", path.c_str());
+  if (!ok) {
+    fprintf(stderr, "GATE FAILED: NoFTL does not cut GC copybacks and "
+                    "write amplification below the FTL's\n");
+    return 1;
+  }
   return 0;
 }
 

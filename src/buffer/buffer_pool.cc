@@ -530,6 +530,14 @@ Status BufferPool::SubmitFetch(txn::TxnContext* ctx, const PageKey* keys,
   WriterLock lock(latch_);
   PendingFetch fetch;
   fetch.id = next_fetch_id_++;
+  // Settling from the first claim until it registers or unwinds; the guard
+  // is destroyed before `lock`, so the erase runs under the latch.
+  settling_fetches_.push_back(fetch.id);
+  struct SettleGuard {
+    BufferPool* pool;
+    FetchTicket id;
+    ~SettleGuard() NO_THREAD_SAFETY_ANALYSIS { pool->EndSettling(id); }
+  } settle{this, fetch.id};
 
   // Claim a frame per absent page and hand every contiguous same-tablespace
   // run to the backend as soon as it is formed: claiming (and its possible
@@ -674,19 +682,16 @@ Status BufferPool::WaitFetchInternal(txn::TxnContext* ctx, FetchTicket ticket,
       pending_fetches_.erase(it);
       break;
     }
-    // Not registered. Either the fetch was already reaped (no frame still
-    // references it — done), or it is mid-submission / mid-reap on another
-    // thread: wait for it to settle and look again.
-    bool referenced = false;
-    for (const Frame& f : frames_) {
-      if (f.in_use && f.pending_fetch == ticket) {
-        referenced = true;
-        break;
-      }
+    // Not registered. Either the fetch was already reaped — done — or it is
+    // mid-submission / mid-reap on another thread: wait for it to settle
+    // and look again.
+    if (std::find(settling_fetches_.begin(), settling_fetches_.end(),
+                  ticket) == settling_fetches_.end()) {
+      return Status::OK();
     }
-    if (!referenced) return Status::OK();
     cv_.wait(lock);
   }
+  settling_fetches_.push_back(ticket);
 
   // Reap every run with the latch released (completion delivery happens in
   // the backend); finalize the frames under it.
@@ -728,7 +733,7 @@ Status BufferPool::WaitFetchInternal(txn::TxnContext* ctx, FetchTicket ticket,
       max_complete = std::max(max_complete, run.reqs[k].complete);
     }
   }
-  cv_.notify_all();
+  EndSettling(ticket);
   if (ctx != nullptr) {
     const SimTime wait = max_complete > ctx->now ? max_complete - ctx->now : 0;
     ctx->read_wait_us += wait;
@@ -736,6 +741,12 @@ Status BufferPool::WaitFetchInternal(txn::TxnContext* ctx, FetchTicket ticket,
     MaybeFlushBackground(ctx, lock);
   }
   return first_error;
+}
+
+void BufferPool::EndSettling(FetchTicket id) {
+  settling_fetches_.erase(
+      std::find(settling_fetches_.begin(), settling_fetches_.end(), id));
+  cv_.notify_all();
 }
 
 void BufferPool::Unfix(const PageHandle& handle, bool dirty) {

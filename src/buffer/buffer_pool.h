@@ -459,6 +459,9 @@ class BufferPool {
 
   void DiscardInternal(const PageKey& key, WriterLock& lock) REQUIRES(latch_);
 
+  /// Close one settling window of fetch `id` and wake its waiters.
+  void EndSettling(FetchTicket id) REQUIRES(latch_);
+
   BufferOptions options_;
   uint32_t page_size_;
   /// Pool latch: shared for the hit path, exclusive for structure changes.
@@ -485,6 +488,12 @@ class BufferPool {
   uint32_t flush_hand_ GUARDED_BY(latch_) = 0;
   /// In-flight fetches, submission order.
   std::vector<PendingFetch> pending_fetches_ GUARDED_BY(latch_);
+  /// Ids of fetches that are mid-submission (frames claimed, not yet in
+  /// pending_fetches_) or mid-reap (taken out, frames not yet finalized),
+  /// one entry per such window. A ticket in neither list is reaped, so a
+  /// wait on a ticket some FixPage already reaped (PrefetchScope does this
+  /// at least once per NewOrder) returns without scanning the frames.
+  std::vector<FetchTicket> settling_fetches_ GUARDED_BY(latch_);
   /// Claim pins currently held by in-flight fetches, across all of them —
   /// capped at half the pool so stacked submit-early fetches can never pin
   /// every evictable frame.

@@ -1,5 +1,6 @@
 #include "index/btree.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <mutex>
@@ -68,6 +69,12 @@ struct BTree::Node {
     return lo;
   }
 
+  /// Child `i` of an internal node: 0 is the leftmost child, i > 0 the
+  /// child of entry i - 1 (Count() names the rightmost).
+  uint64_t ChildAt(uint32_t i) const {
+    return i == 0 ? LeftChild() : ValueAt(i - 1);
+  }
+
   /// Child to follow for `key` in an internal node: entries are separators
   /// with their subtree's minimum key; take the last entry with key <= key,
   /// or the leftmost child if all separators exceed key.
@@ -80,7 +87,7 @@ struct BTree::Node {
       idx = lb;  // first separator greater than key; take the previous child
     }
     if (child_index != nullptr) *child_index = idx;
-    return idx == 0 ? LeftChild() : ValueAt(idx - 1);
+    return ChildAt(idx);
   }
 
   void InsertAt(uint32_t i, Key128 key, uint64_t value) {
@@ -324,21 +331,89 @@ Result<uint64_t> BTree::Lookup(txn::TxnContext* ctx, Key128 key) {
 
 Status BTree::Delete(txn::TxnContext* ctx, Key128 key) {
   WriterLock lock(latch_);
+  std::vector<PathEntry> path;
   uint64_t leaf_page = 0;
-  NOFTL_RETURN_IF_ERROR(DescendToLeaf(ctx, key, nullptr, &leaf_page));
-  auto h = pool_->FixPage(ctx, {tablespace_->tablespace_id(), leaf_page},
-                          /*create=*/false);
-  if (!h.ok()) return h.status();
-  Node leaf{h->data, tablespace_->page_size()};
+  NOFTL_RETURN_IF_ERROR(DescendToLeaf(ctx, key, &path, &leaf_page));
+  auto fix = [&](uint64_t page_no, buffer::PageGuard* guard) -> Status {
+    auto h = pool_->FixPage(ctx, {tablespace_->tablespace_id(), page_no},
+                            /*create=*/false);
+    if (!h.ok()) return h.status();
+    *guard = buffer::PageGuard(pool_, *h);
+    return Status::OK();
+  };
+  buffer::PageGuard leaf_guard;
+  NOFTL_RETURN_IF_ERROR(fix(leaf_page, &leaf_guard));
+  Node leaf{leaf_guard.data(), tablespace_->page_size()};
   const uint32_t pos = leaf.LowerBound(key);
   if (pos >= leaf.Count() || !(leaf.KeyAt(pos) == key)) {
-    pool_->Unfix(*h, /*dirty=*/false);
     return Status::NotFound("key absent");
   }
+
+  // Free at empty. Fix the parent and the left neighbour before touching
+  // anything, so a failed read leaves the tree as it was.
+  buffer::PageGuard parent_guard;
+  buffer::PageGuard left_guard;
+  bool free_leaf = leaf.Count() == 1 && !path.empty();
+  if (free_leaf) {
+    NOFTL_RETURN_IF_ERROR(fix(path.back().page_no, &parent_guard));
+    // A parent's only child stays: the parent would be left with no child.
+    free_leaf = Node{parent_guard.data(), tablespace_->page_size()}.Count() > 0;
+  }
+  if (free_leaf) {
+    auto left = LeftLeaf(ctx, path);
+    if (!left.ok()) return left.status();
+    if (*left != 0) NOFTL_RETURN_IF_ERROR(fix(*left - 1, &left_guard));
+  }
+
   leaf.RemoveAt(pos);
-  pool_->Unfix(*h, /*dirty=*/true);
   entry_count_--;
-  return Status::OK();
+  if (!free_leaf) {
+    leaf_guard.MarkDirty();
+    return Status::OK();
+  }
+  if (left_guard.valid()) {
+    Node left{left_guard.data(), tablespace_->page_size()};
+    assert(left.NextLeaf() == leaf_page + 1);
+    left.SetNextLeaf(leaf.NextLeaf());
+    left_guard.MarkDirty();
+  }
+  // Drop the routing entry. The freed child's key range joins its left
+  // sibling's — or, for the leftmost child, entry 0's child becomes the
+  // leftmost and takes the range down to the parent's lower bound.
+  Node parent{parent_guard.data(), tablespace_->page_size()};
+  const uint32_t child_index = path.back().child_index;
+  if (child_index == 0) {
+    parent.SetLeftChild(parent.ValueAt(0));
+    parent.RemoveAt(0);
+  } else {
+    parent.RemoveAt(child_index - 1);
+  }
+  parent_guard.MarkDirty();
+  leaf_guard.Release();  // clean: the frame is dropped, never written
+  pool_->Discard({tablespace_->tablespace_id(), leaf_page});
+  pages_.erase(std::find(pages_.begin(), pages_.end(), leaf_page));
+  return tablespace_->FreePage(leaf_page);
+}
+
+Result<uint64_t> BTree::LeftLeaf(txn::TxnContext* ctx,
+                                 const std::vector<PathEntry>& path) {
+  size_t level = path.size();
+  while (level > 0 && path[level - 1].child_index == 0) level--;
+  if (level == 0) return uint64_t{0};  // the leftmost edge: no left leaf
+  // path[level - 1]'s previous child heads the subtree to the leaf's left;
+  // its rightmost edge ends at the left leaf.
+  uint64_t page_no = path[level - 1].page_no;
+  for (bool turn = true; level <= path.size(); level++, turn = false) {
+    auto h = pool_->FixPage(ctx, {tablespace_->tablespace_id(), page_no},
+                            /*create=*/false);
+    if (!h.ok()) return h.status();
+    Node node{h->data, tablespace_->page_size()};
+    assert(!node.IsLeaf());
+    page_no = node.ChildAt(turn ? path[level - 1].child_index - 1
+                                : node.Count());
+    pool_->Unfix(*h, /*dirty=*/false);
+  }
+  return page_no + 1;
 }
 
 Status BTree::ScanFrom(txn::TxnContext* ctx, Key128 from,
@@ -395,8 +470,7 @@ Status BTree::PrefetchLeaves(txn::TxnContext* ctx, Key128 from, Key128 to,
   for (uint32_t idx = parent.child_index;
        idx <= node.Count() && keys.size() < kMaxPrefetch; idx++) {
     if (idx > parent.child_index && to < node.KeyAt(idx - 1)) break;
-    const uint64_t child = idx == 0 ? node.LeftChild() : node.ValueAt(idx - 1);
-    keys.push_back({tablespace_->tablespace_id(), child});
+    keys.push_back({tablespace_->tablespace_id(), node.ChildAt(idx)});
   }
   pool_->Unfix(*h, /*dirty=*/false);
   return pool_->SubmitFetch(ctx, keys, ticket);
@@ -421,45 +495,96 @@ Status BTree::ScanRange(txn::TxnContext* ctx, Key128 from, Key128 to,
   return scan.ok() ? drain : scan;
 }
 
+struct BTree::ValidateState {
+  uint64_t entries = 0;
+  bool have_leaf = false;
+  uint64_t next_leaf = 0;  ///< NextLeaf of the last leaf visited (+1 encoded)
+  std::vector<uint64_t> reached;
+};
+
 Status BTree::Validate(txn::TxnContext* ctx) {
   ReaderLock lock(latch_);
-  // Walk every leaf via the chain; check sortedness and count. Then check
-  // that tree descent finds every leaf key.
-  uint64_t leaf_page = 0;
-  NOFTL_RETURN_IF_ERROR(DescendToLeaf(ctx, Key128::Min(), nullptr, &leaf_page));
-
-  uint64_t seen = 0;
-  Key128 prev = Key128::Min();
-  bool have_prev = false;
-  uint64_t page_no = leaf_page;
-  while (true) {
-    auto h = pool_->FixPage(ctx, {tablespace_->tablespace_id(), page_no},
-                            /*create=*/false);
-    if (!h.ok()) return h.status();
-    Node leaf{h->data, tablespace_->page_size()};
-    if (!leaf.IsLeaf()) {
-      pool_->Unfix(*h, false);
-      return Status::Corruption("leaf chain reached internal node");
-    }
-    for (uint32_t i = 0; i < leaf.Count(); i++) {
-      const Key128 k = leaf.KeyAt(i);
-      if (have_prev && !(prev < k)) {
-        pool_->Unfix(*h, false);
-        return Status::Corruption("keys out of order in leaf chain");
-      }
-      prev = k;
-      have_prev = true;
-      seen++;
-    }
-    const uint64_t next = leaf.NextLeaf();
-    pool_->Unfix(*h, /*dirty=*/false);
-    if (next == 0) break;
-    page_no = next - 1;
+  ValidateState state;
+  NOFTL_RETURN_IF_ERROR(ValidateSubtree(ctx, root_page_, 0, Key128::Min(),
+                                        nullptr, /*only_child=*/true, &state));
+  if (state.next_leaf != 0) {
+    return Status::Corruption("last leaf links to page " +
+                              std::to_string(state.next_leaf - 1));
   }
-  if (seen != entry_count_) {
-    return Status::Corruption("entry count drift: chain has " +
-                              std::to_string(seen) + ", expected " +
+  if (state.entries != entry_count_) {
+    return Status::Corruption("entry count drift: leaves hold " +
+                              std::to_string(state.entries) + ", expected " +
                               std::to_string(entry_count_));
+  }
+  std::vector<uint64_t> owned = pages_;
+  std::sort(owned.begin(), owned.end());
+  std::sort(state.reached.begin(), state.reached.end());
+  const auto twice =
+      std::adjacent_find(state.reached.begin(), state.reached.end());
+  if (twice != state.reached.end()) {
+    return Status::Corruption("page " + std::to_string(*twice) +
+                              " reached twice");
+  }
+  if (owned != state.reached) {
+    return Status::Corruption(
+        "descent reaches " + std::to_string(state.reached.size()) +
+        " pages, index owns " + std::to_string(owned.size()) +
+        " (a leaked, lost or foreign page)");
+  }
+  return Status::OK();
+}
+
+Status BTree::ValidateSubtree(txn::TxnContext* ctx, uint64_t page_no,
+                              uint32_t depth, Key128 lower,
+                              const Key128* upper, bool only_child,
+                              ValidateState* state) {
+  state->reached.push_back(page_no);
+  auto corrupt = [&](const std::string& what) {
+    return Status::Corruption(what + " (page " + std::to_string(page_no) +
+                              ", depth " + std::to_string(depth) + ")");
+  };
+  auto h = pool_->FixPage(ctx, {tablespace_->tablespace_id(), page_no},
+                          /*create=*/false);
+  if (!h.ok()) return h.status();
+  buffer::PageGuard guard(pool_, *h);
+  Node node{h->data, tablespace_->page_size()};
+  const bool leaf_level = depth + 1 == height_;
+  if (node.IsLeaf() != leaf_level) {
+    return corrupt(leaf_level ? "internal node at leaf level"
+                              : "leaf above leaf level");
+  }
+  for (uint32_t i = 0; i < node.Count(); i++) {
+    const Key128 k = node.KeyAt(i);
+    if (i > 0 && !(node.KeyAt(i - 1) < k)) return corrupt("keys out of order");
+    if (k < lower || (upper != nullptr && !(k < *upper))) {
+      return corrupt("key outside its parent's separators");
+    }
+  }
+
+  if (leaf_level) {
+    if (node.Count() == 0 && !only_child) {
+      return corrupt("empty leaf that is not the root or an only child");
+    }
+    if (state->have_leaf && state->next_leaf != page_no + 1) {
+      return corrupt("leaf chain does not follow key order");
+    }
+    state->have_leaf = true;
+    state->next_leaf = node.NextLeaf();
+    state->entries += node.Count();
+    return Status::OK();
+  }
+
+  // Copy the routing entries out so no pins stack up along the recursion.
+  const uint32_t count = node.Count();
+  std::vector<Key128> seps(count);
+  std::vector<uint64_t> children(count + 1);
+  for (uint32_t i = 0; i < count; i++) seps[i] = node.KeyAt(i);
+  for (uint32_t i = 0; i <= count; i++) children[i] = node.ChildAt(i);
+  guard.Release();
+  for (uint32_t i = 0; i <= count; i++) {
+    NOFTL_RETURN_IF_ERROR(ValidateSubtree(
+        ctx, children[i], depth + 1, i == 0 ? lower : seps[i - 1],
+        i == count ? upper : &seps[i], /*only_child=*/count == 0, state));
   }
   return Status::OK();
 }

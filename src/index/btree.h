@@ -8,10 +8,15 @@
 // every stored key is unique and equal-`hi` ranges enumerate duplicates in
 // insertion-independent order.
 //
-// Deletes are lazy (no rebalancing): entries are removed in place and pages
-// may underflow. This matches the workload the paper evaluates — TPC-C only
-// deletes NEW_ORDER rows — and keeps invariants testable: lookups never see
-// deleted keys, and structure checks tolerate underfull nodes.
+// Deletes free at empty (Johnson & Shasha): entries are removed in place and
+// pages may underflow, but a leaf that loses its last entry is unlinked from
+// the leaf chain, its routing entry leaves the parent, and the page goes back
+// to the tablespace (which trims it on flash). TPC-C uses NEW_ORDER as a
+// queue — appends at the right of each district, deletes from the left — so
+// without this every Delivery walks the district's chain of dead leaves. Two
+// leaves stay even when empty: the root leaf, and a parent's only child.
+// Internal nodes are never freed and the root never collapses, so the height
+// only grows.
 //
 // Thread safety: a tree-level reader/writer latch. Lookups and scans ride
 // shared holds (node pages are only read); Insert/Delete/DropStorage take
@@ -64,7 +69,9 @@ class BTree {
   /// Point lookup of the exact key.
   Result<uint64_t> Lookup(txn::TxnContext* ctx, Key128 key);
 
-  /// Remove the exact key. NotFound if absent.
+  /// Remove the exact key. NotFound if absent. A leaf this empties is freed
+  /// (see the header comment) unless it is the root or its parent's only
+  /// child; every read that can fail runs before the first page changes.
   Status Delete(txn::TxnContext* ctx, Key128 key);
 
   /// Visit all entries with key >= `from`, in order, until the callback
@@ -81,8 +88,12 @@ class BTree {
   Status ScanRange(txn::TxnContext* ctx, Key128 from, Key128 to,
                    const std::function<bool(Key128, uint64_t)>& fn);
 
-  /// Structural validation: key order within and across nodes, separator
-  /// correctness, leaf chain completeness, entry count. O(n); test aid.
+  /// Structural validation, O(pages): every node lies at its level; keys
+  /// are ordered within nodes and each child's keys lie within its parent's
+  /// separators; the leaf chain links exactly the leaves of the descent, in
+  /// key order; every page of page_count() is reached exactly once; no leaf
+  /// is empty unless it is the root or its parent's only child; the entry
+  /// count matches.
   Status Validate(txn::TxnContext* ctx);
 
   /// Pages allocated to this index.
@@ -132,6 +143,23 @@ class BTree {
                         const std::function<bool(Key128, uint64_t)>& fn)
       REQUIRES_SHARED(latch_);
 
+  /// The leaf left of the one `path` descends to, +1 encoded like
+  /// NextLeaf (0 = it is the tree's first leaf): the parent's previous
+  /// child, or else the rightmost leaf of the subtree left of the nearest
+  /// ancestor that was not entered through its leftmost child.
+  Result<uint64_t> LeftLeaf(txn::TxnContext* ctx,
+                            const std::vector<PathEntry>& path)
+      REQUIRES_SHARED(latch_);
+
+  /// Validate body: checks the subtree at `page_no` (`depth` levels below
+  /// the root) against the key bounds [lower, upper) — `upper` absent for
+  /// the rightmost edge — and accumulates into `state`.
+  struct ValidateState;
+  Status ValidateSubtree(txn::TxnContext* ctx, uint64_t page_no,
+                         uint32_t depth, Key128 lower, const Key128* upper,
+                         bool only_child, ValidateState* state)
+      REQUIRES_SHARED(latch_);
+
   /// Split handling after a leaf/internal insert overflowed.
   Status InsertIntoParent(txn::TxnContext* ctx, std::vector<PathEntry>* path,
                           Key128 sep, uint64_t new_child) REQUIRES(latch_);
@@ -156,7 +184,7 @@ class BTree {
   Relaxed<uint64_t> entry_count_ = 0;   ///< readable without the latch
   Relaxed<uint32_t> height_ = 1;        ///< readable without the latch
   bool range_prefetch_ = true;
-  /// All node pages, for DropStorage.
+  /// All node pages, for DropStorage (freed leaves leave it).
   std::vector<uint64_t> pages_ GUARDED_BY(latch_);
 };
 

@@ -18,8 +18,10 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "db/database.h"
 #include "flash/device.h"
 #include "ftl/mapping.h"
+#include "index/btree.h"
 #include "mvcc/snapshot_manager.h"
 
 namespace noftl::mvcc {
@@ -312,6 +314,83 @@ MapperOptions CkptOptions() {
   options.checkpoint_slots = 4;
   options.incremental_checkpoints = true;
   return options;
+}
+
+TEST(Mvcc, BTreeSnapshotScanSurvivesFreedAndReusedLeaves) {
+  // The B-tree frees the leaves deletes empty (the tablespace trims them)
+  // and the next splits take those pages again. A snapshot opened before
+  // all of it must still scan the tree exactly as it was: the trims keep
+  // the old copies for it, and the reused pages resolve to their version
+  // as of the snapshot.
+  db::DatabaseOptions o;
+  o.geometry.channels = 2;
+  o.geometry.dies_per_channel = 2;
+  o.geometry.planes_per_die = 1;
+  o.geometry.blocks_per_die = 64;
+  o.geometry.pages_per_block = 16;
+  o.geometry.page_size = 512;
+  o.buffer.frame_count = 64;
+  o.default_extent_pages = 8;
+  auto db = db::Database::Open(o);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_TRUE((*db)->ExecuteDdl("CREATE REGION r (MAX_CHIPS=4)").ok());
+  ASSERT_TRUE((*db)->ExecuteDdl("CREATE TABLESPACE ts (REGION=r)").ok());
+  auto tree = (*db)->CreateIndex("idx", "ts");
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  storage::Tablespace* ts = (*db)->GetTablespace("ts");
+  txn::TxnContext ctx;
+
+  std::map<uint64_t, uint64_t> before;
+  for (uint64_t k = 0; k < 400; k++) {
+    ASSERT_TRUE((*tree)->Insert(&ctx, {k, 0}, k * 3).ok());
+    before[k] = k * 3;
+  }
+  const uint32_t height = (*tree)->height();
+  const uint64_t index_pages = (*tree)->page_count();
+  auto snap = (*db)->OpenSnapshot(&ctx);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+
+  for (uint64_t k = 0; k < 200; k++) {
+    ASSERT_TRUE((*tree)->Delete(&ctx, {k, 0}).ok());
+  }
+  ASSERT_LT((*tree)->page_count(), index_pages - 10);  // leaves were freed
+  const uint64_t ts_pages = ts->page_count();
+  for (uint64_t k = 1000; k < 1120; k++) {
+    ASSERT_TRUE((*tree)->Insert(&ctx, {k, 0}, k).ok());
+  }
+  EXPECT_EQ(ts->page_count(), ts_pages);  // the splits reused freed pages
+  EXPECT_EQ((*tree)->height(), height);
+  ASSERT_TRUE((*db)->buffer()->FlushAll(&ctx).ok());
+  ASSERT_TRUE((*tree)->Validate(&ctx).ok());
+
+  auto scan = [&](txn::TxnContext* c) {
+    std::map<uint64_t, uint64_t> out;
+    EXPECT_TRUE((*tree)
+                    ->ScanRange(c, index::Key128::Min(), index::Key128::Max(),
+                                [&](index::Key128 k, uint64_t v) {
+                                  out[k.hi] = v;
+                                  return true;
+                                })
+                    .ok());
+    return out;
+  };
+  txn::TxnContext snap_ctx;
+  snap_ctx.now = ctx.now;
+  snap_ctx.snapshot_seq = *snap;
+  EXPECT_EQ(scan(&snap_ctx), before);
+  const auto latest = scan(&ctx);
+  EXPECT_EQ(latest.size(), 320u);
+  EXPECT_EQ(latest.begin()->first, 200u);
+  EXPECT_EQ(latest.rbegin()->first, 1119u);
+
+  (*db)->ReleaseSnapshot(*snap);
+  EXPECT_TRUE((*db)->snapshots()->Verify().ok());
+  for (auto* rg : (*db)->regions()->regions()) {
+    Status s = rg->VerifyIntegrity();
+    EXPECT_TRUE(s.ok()) << rg->name() << ": " << s.ToString();
+  }
+  EXPECT_TRUE((*db)->buffer()->VerifyIntegrity().ok());
+  EXPECT_EQ(scan(&ctx), latest);
 }
 
 TEST(MvccCheckpoint, IncrementalRoundTrip) {

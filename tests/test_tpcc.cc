@@ -295,6 +295,31 @@ TEST_F(TpccTxnTest, DeliveryDrainsEventually) {
   ASSERT_TRUE(txns_->Delivery(&ctx_, 1).ok());
 }
 
+TEST_F(TpccTxnTest, DeliveredNewOrderLeavesAreFreed) {
+  // NEW_ORDER is a queue: NewOrder appends at the right of its district's
+  // key range, Delivery consumes from the left. The leaves deliveries empty
+  // go back to the tablespace, so the index stays sized to the live new
+  // orders instead of to every order ever placed.
+  int deliveries = 0;
+  for (; deliveries < 200; deliveries++) {
+    for (int i = 0; i < 3; i++) {
+      bool committed = false;
+      ASSERT_TRUE(txns_->NewOrder(&ctx_, 1, &committed).ok());
+    }
+    ASSERT_TRUE(txns_->Delivery(&ctx_, 1).ok());
+  }
+  const uint64_t live = db_->no_idx->entry_count();
+  EXPECT_EQ(live, db_->new_order->record_count());
+  ASSERT_GT(live, 0u);
+  // A full leaf holds (page size - 32-byte header) / 24-byte entries.
+  const uint64_t per_leaf =
+      (db_->database()->options().geometry.page_size - 32) / 24;
+  const uint64_t needed = (live + per_leaf - 1) / per_leaf + 1;  // + root
+  EXPECT_LE(db_->no_idx->page_count(), 3 * needed)
+      << live << " live new orders";
+  ASSERT_TRUE(db_->no_idx->Validate(&ctx_).ok());
+}
+
 TEST_F(TpccTxnTest, StockLevelRuns) {
   for (int i = 0; i < 5; i++) {
     ASSERT_TRUE(txns_->StockLevel(&ctx_, 1, 1).ok());
