@@ -1,6 +1,12 @@
-// Database facade: wires flash device <- (NoFTL regions | FTL block device)
+// Database facade: wires flash devices <- (NoFTL regions | FTL block device)
 // <- tablespaces <- buffer pool <- heap files / B+-trees, with a catalog and
 // the paper's DDL on top.
+//
+// One stack shape: the devices always sit behind a shard::ShardRouter built
+// from `DatabaseOptions::sharding`. The default shard_count = 1 is one device
+// whose batches pass straight through the router; N >= 2 adds devices and
+// fans every region out across them. Nothing above the router (tablespaces,
+// buffer pool, heap files, B-trees, TPC-C) knows the shard count.
 //
 // Two backends, matching the two architectures the paper compares:
 //   * Backend::kNoFtl — regions are first-class; tablespaces bind to regions
@@ -30,7 +36,6 @@
 #include "sql/ddl.h"
 #include "storage/heap_file.h"
 #include "storage/object_stats.h"
-#include "storage/space_provider.h"
 #include "storage/tablespace.h"
 #include "txn/txn.h"
 
@@ -52,11 +57,10 @@ struct DatabaseOptions {
   ftl::MapperOptions default_mapper;
   /// EXTENT SIZE default when DDL omits it (pages).
   uint32_t default_extent_pages = 32;
-  /// Multi-device scale-out: shard_count >= 2 opens one full device stack
-  /// per shard (geometry is PER SHARD) behind a shard router; regions fan
-  /// out across every shard and tablespaces stripe/partition their extents
-  /// by `sharding.placement`. shard_count == 1 is the single-device path,
-  /// untouched.
+  /// Multi-device scale-out: the router opens one full device stack per
+  /// shard (geometry is PER SHARD); regions fan out across every shard and
+  /// tablespaces stripe/partition their extents by `sharding.placement`.
+  /// shard_count == 1 (the default) is one device behind the same router.
   shard::ShardOptions sharding;
   /// When true, every DDL statement also appends a record to an internal
   /// catalog heap ("DBMS-metadata" in the paper's Figure 2), once a
@@ -64,15 +68,14 @@ struct DatabaseOptions {
   bool persist_catalog = true;
   /// Background-service scheduler (idle-time GC/scrub/WL/checkpoint with
   /// write-admission control): one scheduler per shard stack when enabled.
-  /// Disabled by default — the single-thread inline-housekeeping path stays
-  /// byte-identical.
+  /// Disabled by default — the inline-housekeeping path stays byte-identical.
   sched::SchedulerOptions scheduler;
 };
 
-/// Aggregate health of the stack's devices, as of the last UpdateHealth().
-/// Sharded stacks report per-shard; the single-device stack reports one
-/// pseudo-shard (shard 0) and never degrades (there is no healthy shard
-/// left to serve from, so the budget applies only when sharded).
+/// Aggregate health of the stack's devices, as of the last UpdateHealth(),
+/// one entry per shard. The hard-fault budget applies to every shard count:
+/// with one shard, a degraded database keeps serving reads while every
+/// write fails with ReadOnly (there is no healthy shard to spill onto).
 struct DatabaseHealth {
   bool any_degraded = false;
   std::vector<shard::ShardHealthStatus> shards;
@@ -92,24 +95,19 @@ class Database {
   ~Database();
 
   const DatabaseOptions& options() const { return options_; }
-  /// Shard 0's device when sharded (single-device callers keep working; use
-  /// shards() / ForEachDevice for the whole fleet).
-  flash::FlashDevice* device() {
-    return shard_router_ != nullptr ? shard_router_->device(0) : device_.get();
-  }
-  region::RegionManager* regions() { return region_manager_.get(); }
-  ftl::PageMappingFtl* ftl() {
-    return shard_router_ != nullptr ? shard_router_->ftl(0) : ftl_.get();
-  }
+  /// Shard 0's stack (the whole stack when shard_count == 1; use shards() /
+  /// ForEachDevice for the whole fleet). regions() is null under kFtl and
+  /// ftl() under kNoFtl.
+  flash::FlashDevice* device() { return shard_router_->device(0); }
+  region::RegionManager* regions() { return shard_router_->regions(0); }
+  ftl::PageMappingFtl* ftl() { return shard_router_->ftl(0); }
   buffer::BufferPool* buffer() { return buffer_.get(); }
 
-  /// The shard router (null when shard_count == 1).
+  /// The shard router every device sits behind (never null).
   shard::ShardRouter* shards() { return shard_router_.get(); }
-  bool sharded() const { return shard_router_ != nullptr; }
+  bool sharded() const { return shard_count() > 1; }
   uint32_t shard_count() const {
-    return shard_router_ != nullptr
-               ? static_cast<uint32_t>(shard_router_->shard_count())
-               : 1;
+    return static_cast<uint32_t>(shard_router_->shard_count());
   }
 
   /// Re-read fault counters on every device, apply the shard router's
@@ -118,22 +116,27 @@ class Database {
   /// sticky until the database is reopened.
   DatabaseHealth UpdateHealth();
 
-  /// Visit every device of the stack (one, or one per shard).
+  /// Visit every device of the stack, one per shard in shard order.
   void ForEachDevice(const std::function<void(flash::FlashDevice*)>& fn);
   /// Reset operation stats on every device.
   void ResetDeviceStats();
 
   /// Override the placement key for subsequent extent allocations under
   /// ShardPlacement::kByKey (e.g. the TPC-C loader/driver pinning a
-  /// warehouse to one shard). No-op when unsharded.
+  /// warehouse to one shard). Has no effect with one shard.
   void SetShardPlacementHint(uint64_t key);
   void ClearShardPlacementHint();
 
+  /// Global wear leveling (kNoFtl): swap the most- and least-worn regions'
+  /// dies on every shard. OK and a no-op under kFtl.
+  Status RebalanceWear(SimTime issue);
+
   // --- Background schedulers (options.scheduler.enabled) ---
 
-  /// The single-device stack's scheduler (null when disabled or sharded —
-  /// the shard router owns one per shard then; see shards()->scheduler(s)).
-  sched::BackgroundScheduler* scheduler() { return scheduler_.get(); }
+  /// Shard 0's scheduler (null when disabled; see shards()->scheduler(s)).
+  sched::BackgroundScheduler* scheduler() {
+    return shard_router_->scheduler(0);
+  }
   /// Deterministic synchronous mode: run one scheduling pass on every
   /// scheduler of the stack at sim time `now` (the driver calls this
   /// between transactions). Returns background pages moved; 0 — and no
@@ -222,22 +225,14 @@ class Database {
                            const std::string& detail);
 
   DatabaseOptions options_;
-  /// Snapshot manager, declared before the device stacks: region mappers
-  /// watch its VersionHorizon through MapperOptions::snapshots, so it must
-  /// be destroyed after every mapper (reverse declaration order).
+  /// Snapshot manager, declared before the router: region mappers watch its
+  /// VersionHorizon through MapperOptions::snapshots, so it must be
+  /// destroyed after every mapper (reverse declaration order).
   std::unique_ptr<mvcc::SnapshotManager> snapshots_;
-  std::unique_ptr<flash::FlashDevice> device_;
-  std::unique_ptr<region::RegionManager> region_manager_;
-  std::unique_ptr<ftl::PageMappingFtl> ftl_;
-  std::unique_ptr<storage::FtlSpace> ftl_space_;
   std::unique_ptr<shard::ShardRouter> shard_router_;
-  /// Single-device stack's scheduler; declared after the stack members so it
-  /// is destroyed (service thread joined, reclaimer flag cleared) first.
-  std::unique_ptr<sched::BackgroundScheduler> scheduler_;
   std::unique_ptr<buffer::BufferPool> buffer_;
 
   // Catalog. Values are owned here; names are unique per kind.
-  std::map<std::string, std::unique_ptr<storage::RegionSpace>> region_spaces_;
   std::map<std::string, std::string> ts_region_;  ///< tablespace -> region
   std::map<std::string, std::unique_ptr<storage::Tablespace>> tablespaces_;
   std::map<std::string, std::unique_ptr<storage::HeapFile>> tables_;

@@ -17,6 +17,11 @@ void SnapshotManager::UnregisterMapper(ftl::OutOfPlaceMapper* mapper) {
   std::erase(mappers_, mapper);
 }
 
+bool SnapshotManager::IsRegistered(const ftl::OutOfPlaceMapper* mapper) const {
+  MutexLock lock(mu_);
+  return std::find(mappers_.begin(), mappers_.end(), mapper) != mappers_.end();
+}
+
 uint64_t SnapshotManager::Open() {
   // Order matters: raise `opening` first so writers retain unconditionally,
   // then draw the sequence, then publish the window, then drop `opening`.

@@ -48,6 +48,7 @@ class SnapshotManager {
   /// create/drop, DDL). Registered mappers must outlive their registration.
   void RegisterMapper(ftl::OutOfPlaceMapper* mapper);
   void UnregisterMapper(ftl::OutOfPlaceMapper* mapper);
+  bool IsRegistered(const ftl::OutOfPlaceMapper* mapper) const;
 
   /// Open a snapshot: returns its sequence (the handle). Versions with
   /// seq <= the handle are visible to it. The caller is responsible for

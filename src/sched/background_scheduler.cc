@@ -34,6 +34,13 @@ void BackgroundScheduler::UnregisterMapper(ftl::OutOfPlaceMapper* mapper) {
   mapper->SetBackgroundReclaimer(false);
 }
 
+bool BackgroundScheduler::IsRegistered(
+    const ftl::OutOfPlaceMapper* mapper) const {
+  MutexLock lock(mu_);
+  return std::any_of(mappers_.begin(), mappers_.end(),
+                     [&](const Entry& e) { return e.mapper == mapper; });
+}
+
 void BackgroundScheduler::Start() {
   if (!options_.service_thread || thread_.joinable()) return;
   stop_.store(false, std::memory_order_relaxed);

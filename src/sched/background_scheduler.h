@@ -111,6 +111,7 @@ class BackgroundScheduler {
   /// must outlive their registration.
   void RegisterMapper(ftl::OutOfPlaceMapper* mapper);
   void UnregisterMapper(ftl::OutOfPlaceMapper* mapper);
+  bool IsRegistered(const ftl::OutOfPlaceMapper* mapper) const;
 
   /// One deterministic scheduling pass at sim time `now`: for every
   /// registered mapper and every idle die, grant up to quanta_per_tick

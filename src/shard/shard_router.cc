@@ -218,7 +218,25 @@ Status ShardRouter::Checkpoint(SimTime issue, SimTime* complete) {
   return Status::OK();
 }
 
+Status ShardRouter::RebalanceWear(SimTime issue) {
+  MutexLock lock(ddl_mu_);
+  ScopedSchedulerQuiesce quiesce(schedulers_);
+  for (Shard& s : shards_) {
+    if (s.regions == nullptr) continue;
+    NOFTL_RETURN_IF_ERROR(s.regions->RebalanceWear(issue, /*swapped=*/nullptr));
+  }
+  return Status::OK();
+}
+
+bool ShardRouter::PlacementHintMatters() const {
+  // Only kByKey reads the key, and with one shard there is nothing to pick.
+  // Skipping the broadcast keeps the per-transaction pin free then.
+  return options_.shard.placement == ShardPlacement::kByKey &&
+         shards_.size() > 1;
+}
+
 void ShardRouter::SetPlacementHint(uint64_t key) {
+  if (!PlacementHintMatters()) return;
   MutexLock lock(ddl_mu_);
   if (ftl_sharded_ != nullptr) ftl_sharded_->SetPlacementHint(key);
   for (auto& [name, fanned] : fanned_regions_) {
@@ -259,6 +277,7 @@ sched::SchedulerStats ShardRouter::SchedulerStatsTotal() const {
 }
 
 void ShardRouter::ClearPlacementHint() {
+  if (!PlacementHintMatters()) return;
   MutexLock lock(ddl_mu_);
   if (ftl_sharded_ != nullptr) ftl_sharded_->ClearPlacementHint();
   for (auto& [name, fanned] : fanned_regions_) {

@@ -2,8 +2,8 @@
 // plus a RegionManager or PageMappingFtl stack) and hands out ShardedSpace
 // providers that stripe the logical space across them.
 //
-// The router is the multi-device counterpart of what Database::Open builds
-// for one device: under the native (NoFTL) backend every shard runs its own
+// Database::Open always builds one router; shard_count = 1 is the plain
+// one-device stack. Under the native (NoFTL) backend every shard runs its own
 // RegionManager and CreateRegion fans out one same-named region per shard,
 // merged behind a ShardedSpace; under the FTL backend every shard runs its
 // own PageMappingFtl and one ShardedSpace spans the per-shard LBA spaces.
@@ -38,13 +38,15 @@ enum class ShardBackend : uint8_t {
 
 /// Sharding knobs carried by DatabaseOptions.
 struct ShardOptions {
-  /// Number of independent device stacks; 1 = no sharding (the single-device
-  /// code path, untouched).
+  /// Number of independent device stacks. 1 (the default) is one device
+  /// behind the same router: every batch passes straight through to it.
   uint32_t shard_count = 1;
   ShardPlacement placement = ShardPlacement::kStripe;
   /// Hard device faults (unreadable pages + failed erases) a shard may
   /// accumulate before UpdateHealth flips it to degraded read-only.
-  /// 0 disables the budget (never degrade).
+  /// 0 disables the budget (never degrade). It applies to a single shard
+  /// too: a degraded lone shard still serves reads, but every write and new
+  /// extent fails with ReadOnly.
   uint64_t hard_fault_budget = 0;
 };
 
@@ -107,6 +109,11 @@ class ShardRouter {
 
   // --- Cross-shard maintenance ---
 
+  /// Global wear leveling on every shard (backend == kNoFtl; a no-op under
+  /// kFtl): each shard's RegionManager swaps its most- and least-worn
+  /// regions' dies independently.
+  Status RebalanceWear(SimTime issue);
+
   /// Checkpoint every shard's mappers, all issued at `issue`: shards are
   /// independent devices, so `*complete` (if non-null) receives the max —
   /// not the sum — over shards. Per-mapper failures are best-effort (older
@@ -114,7 +121,8 @@ class ShardRouter {
   Status Checkpoint(SimTime issue, SimTime* complete);
 
   /// Forward a placement-key override to every sharded space (kByKey
-  /// placement; e.g. pin the current TPC-C warehouse).
+  /// placement; e.g. pin the current TPC-C warehouse). No-op unless the
+  /// placement is kByKey over two or more shards.
   void SetPlacementHint(uint64_t key);
   void ClearPlacementHint();
 
@@ -164,6 +172,8 @@ class ShardRouter {
 
  private:
   explicit ShardRouter(const ShardRouterOptions& options) : options_(options) {}
+
+  bool PlacementHintMatters() const;
 
   struct Shard {
     std::unique_ptr<flash::FlashDevice> device;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <thread>
 
 namespace noftl::shard {
 
@@ -170,28 +171,24 @@ Status ShardedSpace::SubmitBatch(IoBatch* batch, SimTime issue,
     }
   }
 
-  auto merged = std::make_unique<Merged>();
-  merged->id = next_ticket_++;
-  merged->issue = issue;
-  merged->parent = batch;
-
   if (all_shard0 && !any_blocked) {
     // Passthrough: shard-0 local lpns equal the encoded lpns, so the
-    // caller's batch goes down untouched — a 1-shard ShardedSpace is
-    // operation-for-operation the unsharded stack.
-    merged->passthrough = true;
-    Status s =
-        shards_[0]->SubmitBatch(batch, issue, &merged->passthrough_ticket);
+    // caller's batch goes down untouched and shard 0's own ticket comes back
+    // tagged — a 1-shard ShardedSpace is operation-for-operation its one
+    // backend, with nothing pending here.
+    IoTicket shard_ticket = 0;
+    Status s = shards_[0]->SubmitBatch(batch, issue, &shard_ticket);
     if (!s.ok()) return s;  // slots already delivered by the backend
+    assert((shard_ticket & kPassthroughTag) == 0);
     stats_.passthrough_batches++;
     stats_.requests_per_shard[0] += batch->size();
-    *ticket = merged->id;
-    {
-      MutexLock lock(mu_);
-      pending_[merged->id] = std::move(merged);
-    }
+    *ticket = shard_ticket == 0 ? 0 : (shard_ticket | kPassthroughTag);
     return Status::OK();
   }
+
+  auto merged = std::make_unique<Merged>();
+  merged->issue = issue;
+  merged->parent = batch;
 
   // Scatter: mirror each request into its shard's sub-batch (same relative
   // order, so same-shard FIFO is preserved), with an on_complete that copies
@@ -222,12 +219,16 @@ Status ShardedSpace::SubmitBatch(IoBatch* batch, SimTime issue,
         break;
     }
     IoRequest* parent = &r;
-    mirror->on_complete = [parent](const IoRequest& done_req) {
+    Merged* m = merged.get();
+    mirror->on_complete = [parent, m](const IoRequest& done_req) {
       parent->status = done_req.status;
       parent->complete = done_req.complete;
       parent->done = true;
       if (parent->on_complete) parent->on_complete(*parent);
+      // Last act: from here on another thread may free `m` and the mirror.
+      m->delivered.fetch_add(1, std::memory_order_release);
     };
+    merged->mirrors++;
     stats_.requests_per_shard[s]++;
     stats_.scatter_requests++;
   }
@@ -263,15 +264,18 @@ Status ShardedSpace::SubmitBatch(IoBatch* batch, SimTime issue,
     return submit_error;
   }
   stats_.merged_batches++;
-  *ticket = merged->id;
+  *ticket = next_ticket_++;
   {
     MutexLock lock(mu_);
-    pending_[merged->id] = std::move(merged);
+    pending_[*ticket] = std::move(merged);
   }
   return Status::OK();
 }
 
 Status ShardedSpace::WaitBatch(IoTicket ticket, SimTime* complete) {
+  if ((ticket & kPassthroughTag) != 0) {
+    return shards_[0]->WaitBatch(ticket & ~kPassthroughTag, complete);
+  }
   // Detach under the lock before reaping: an on_complete that re-enters this
   // space (new submissions, polls, waits on other tickets) can never dangle
   // this entry, and a concurrent WaitBatch/PollCompletions on another thread
@@ -285,23 +289,20 @@ Status ShardedSpace::WaitBatch(IoTicket ticket, SimTime* complete) {
     pending_.erase(it);
   }
 
-  SimTime done = m->issue;
-  if (m->passthrough) {
-    NOFTL_RETURN_IF_ERROR(
-        shards_[0]->WaitBatch(m->passthrough_ticket, nullptr));
-  } else {
-    // The merged batch retires at the max over its shards. Sub-batches are
-    // reaped in shard order; within a shard the backend delivers requests in
-    // submission order, so same-shard FIFO survives the merge.
-    for (auto& sub : m->subs) {
-      NOFTL_RETURN_IF_ERROR(shards_[sub->shard]->WaitBatch(sub->ticket,
-                                                           nullptr));
-    }
+  // The merged batch retires at the max over its shards. Sub-batches are
+  // reaped in shard order; within a shard the backend delivers requests in
+  // submission order, so same-shard FIFO survives the merge.
+  for (auto& sub : m->subs) {
+    NOFTL_RETURN_IF_ERROR(shards_[sub->shard]->WaitBatch(sub->ticket, nullptr));
   }
+  // A sub-batch drained by another thread's PollCompletions may still be
+  // inside a mirror callback; the caller's batch must outlive it.
+  while (!m->Delivered()) std::this_thread::yield();
   // Completion slots are authoritative (a sub-batch may have been drained by
   // an earlier PollCompletions, in which case its WaitBatch was a no-op).
-  done = std::max(done, m->parent->MaxComplete());
-  if (complete != nullptr) *complete = done;
+  if (complete != nullptr) {
+    *complete = std::max(m->issue, m->parent->MaxComplete());
+  }
   return Status::OK();
 }
 
@@ -310,7 +311,7 @@ size_t ShardedSpace::PollCompletions(SimTime until) {
   // this space (submit, wait, even poll again).
   size_t retired = 0;
   for (auto* s : shards_) retired += s->PollCompletions(until);
-  // Release merged batches whose every request has been delivered. Extract
+  // Release merged batches whose every mirror callback has finished. Extract
   // them under the lock, destroy them outside it (the Merged dtor frees the
   // sub-batches but fires no callbacks; keeping destruction out of the
   // critical section is still cheaper for concurrent submitters).
@@ -318,7 +319,7 @@ size_t ShardedSpace::PollCompletions(SimTime until) {
   {
     MutexLock lock(mu_);
     for (auto it = pending_.begin(); it != pending_.end();) {
-      if (Delivered(*it->second)) {
+      if (it->second->Delivered()) {
         drained.push_back(std::move(it->second));
         it = pending_.erase(it);
       } else {
@@ -327,14 +328,6 @@ size_t ShardedSpace::PollCompletions(SimTime until) {
     }
   }
   return retired;
-}
-
-bool ShardedSpace::Delivered(const Merged& m) const {
-  if (m.passthrough) return m.parent->AllDone();
-  for (const auto& sub : m.subs) {
-    if (!sub->batch.AllDone()) return false;
-  }
-  return true;
 }
 
 }  // namespace noftl::shard

@@ -28,21 +28,26 @@
 // retires at the max over shards, per-request completion slots are filled at
 // the reap, and same-shard requests keep their submission-order FIFO. A
 // batch whose requests all live on shard 0 (notably: every batch of a
-// 1-shard space) is passed through untouched, so a 1-shard ShardedSpace is
-// operation-for-operation identical to the unsharded stack. Atomic batches
-// are single-shard by construction of the paper's mechanism (one mapper
-// stamps the batch); a cross-shard atomic submission is cleanly rejected
-// with every slot failed and no ticket.
+// 1-shard space) is passed through untouched and its ticket is shard 0's own
+// ticket tagged with kPassthroughTag. Nothing is tracked here for it, so a
+// 1-shard ShardedSpace is operation-for-operation (and nearly cost-for-cost)
+// its one backend. Atomic batches are single-shard by construction of the
+// paper's mechanism (one mapper stamps the batch); a cross-shard atomic
+// submission is cleanly rejected with every slot failed and no ticket.
 // Thread safety: N workers may submit, wait and poll concurrently. The
 // ticket map is guarded by `mu_`; sub-shard Submit/Wait/Poll calls happen
 // with `mu_` released (the shards have their own latches, and completion
-// callbacks may re-enter this space). Ticket issue and the stats/degraded
-// flags are lock-free atomics, and the placement-hint override is
-// thread-local so one loader thread's pin never leaks into another's
-// allocation. In the default single-thread mode every code path is
-// byte-identical to the unlatched stack.
+// callbacks may re-enter this space). A merged batch is freed only once
+// every mirror callback has finished: each callback's last act is a
+// release-increment of the batch's delivered count, so a poller on one
+// thread never frees requests another poller's callback still reads.
+// Ticket issue and the stats/degraded flags are lock-free atomics, and the
+// placement-hint override is thread-local so one loader thread's pin never
+// leaks into another's allocation. In the default single-thread mode every
+// code path is byte-identical to the unlatched stack.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -93,6 +98,11 @@ class ShardedSpace : public storage::SpaceProvider {
   }
   static uint64_t LocalOf(uint64_t lpn) { return lpn & kLocalMask; }
 
+  /// Set on a ticket that is shard 0's own ticket for a passed-through
+  /// batch; merged tickets never carry it. Backends issue tickets below it.
+  static constexpr storage::IoTicket kPassthroughTag = storage::IoTicket{1}
+                                                       << 63;
+
   /// `shards` must be non-empty and share one page size; the pointers must
   /// outlive the sharded space.
   ShardedSpace(std::vector<storage::SpaceProvider*> shards,
@@ -140,7 +150,8 @@ class ShardedSpace : public storage::SpaceProvider {
   Status WaitBatch(storage::IoTicket ticket, SimTime* complete) override;
   size_t PollCompletions(SimTime until) override;
 
-  /// Merged batches submitted but not fully reaped.
+  /// Merged batches submitted but not fully reaped (passed-through batches
+  /// are never pending here; shard 0 tracks them).
   size_t PendingBatches() const {
     MutexLock lock(mu_);
     return pending_.size();
@@ -157,18 +168,21 @@ class ShardedSpace : public storage::SpaceProvider {
   };
 
   struct Merged {
-    storage::IoTicket id = 0;
     SimTime issue = 0;
-    /// All requests live on shard 0: the caller's batch went down untouched.
-    bool passthrough = false;
-    storage::IoTicket passthrough_ticket = 0;
     /// The caller's batch; alive until reaped (SpaceProvider contract).
     storage::IoBatch* parent = nullptr;
     std::vector<std::unique_ptr<SubBatch>> subs;
+    /// Mirror requests across `subs`, and how many of their callbacks have
+    /// finished (each callback's last act is a release-increment).
+    size_t mirrors = 0;
+    std::atomic<size_t> delivered{0};
+
+    bool Delivered() const {
+      return delivered.load(std::memory_order_acquire) == mirrors;
+    }
   };
 
   size_t PickShard(uint64_t key) const REQUIRES(alloc_mu_);
-  bool Delivered(const Merged& m) const;
 
   std::vector<storage::SpaceProvider*> shards_;
   std::vector<Relaxed<uint8_t>> degraded_;

@@ -380,11 +380,8 @@ Result<DriverReport> TpccDriver::Run() {
     }
 
     if (options_.global_wl_interval != 0 &&
-        total % options_.global_wl_interval == 0 &&
-        db_->database()->regions() != nullptr) {
-      bool swapped = false;
-      Status wl = db_->database()->regions()->RebalanceWear(t.ctx.now, &swapped);
-      if (!wl.ok()) return wl;
+        total % options_.global_wl_interval == 0) {
+      NOFTL_RETURN_IF_ERROR(db_->database()->RebalanceWear(t.ctx.now));
     }
   }
 

@@ -29,7 +29,7 @@ struct DriverOptions {
   /// measures a steady run, not a fresh device).
   uint64_t warmup_transactions = 0;
   uint64_t seed = 7;
-  /// Run global wear leveling every N transactions (0 = off).
+  /// Run global wear leveling on every shard every N transactions (0 = off).
   uint32_t global_wl_interval = 0;
   /// Batched I/O in the transactions (multi-row prefetches, index leaf
   /// prefetch; see TpccTransactions::SetBatchedIo). Off = the serial

@@ -3,6 +3,8 @@
 // control.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "db/database.h"
 
 namespace noftl::db {
@@ -26,6 +28,31 @@ TEST(DatabaseTest, OpenValidatesGeometry) {
   DatabaseOptions o = SmallOptions();
   o.geometry.page_size = 1000;
   EXPECT_FALSE(Database::Open(o).ok());
+}
+
+TEST(DatabaseTest, DefaultStackIsOneShardBehindTheRouter) {
+  for (Backend backend : {Backend::kNoFtl, Backend::kFtl}) {
+    auto db = Database::Open(SmallOptions(backend));
+    ASSERT_TRUE(db.ok());
+    ASSERT_NE((*db)->shards(), nullptr);
+    EXPECT_EQ((*db)->shard_count(), 1u);
+    EXPECT_FALSE((*db)->sharded());
+    std::vector<flash::FlashDevice*> visited;
+    (*db)->ForEachDevice(
+        [&](flash::FlashDevice* dev) { visited.push_back(dev); });
+    EXPECT_EQ(visited, std::vector<flash::FlashDevice*>{(*db)->device()});
+    EXPECT_EQ((*db)->regions() != nullptr, backend == Backend::kNoFtl);
+    EXPECT_EQ((*db)->ftl() != nullptr, backend == Backend::kFtl);
+  }
+}
+
+TEST(DatabaseTest, FtlTablespaceLandsOnTheRoutersFtlSpace) {
+  auto db = Database::Open(SmallOptions(Backend::kFtl));
+  ASSERT_TRUE(db.ok());
+  auto ts = (*db)->CreateTablespace("ts", "", 8);
+  ASSERT_TRUE(ts.ok());
+  ASSERT_NE((*db)->shards()->ftl_space(), nullptr);
+  EXPECT_EQ((*ts)->space(), (*db)->shards()->ftl_space());
 }
 
 TEST(DatabaseTest, PaperDdlScriptEndToEnd) {
@@ -156,6 +183,39 @@ TEST(DatabaseTest, DropRegionRules) {
   // Unreferenced region can.
   ASSERT_TRUE((*db)->ExecuteDdl("CREATE REGION r2 (MAX_CHIPS=2)").ok());
   EXPECT_TRUE((*db)->ExecuteDdl("DROP REGION r2").ok());
+}
+
+TEST(DatabaseTest, BusyDropRegionKeepsTheMapperRegistered) {
+  // The router refuses to drop a region that still maps pages. The database
+  // unregisters the mappers from the snapshot manager before the drop, so a
+  // refused drop must put them back; the router's scheduler keeps its own
+  // registration until the drop is sure to succeed.
+  DatabaseOptions o = SmallOptions();
+  o.scheduler.enabled = true;
+  auto db = Database::Open(o);
+  ASSERT_TRUE(db.ok());
+  ASSERT_TRUE((*db)->ExecuteDdl("CREATE REGION r (MAX_CHIPS=2)").ok());
+  region::Region* rg = (*db)->regions()->Get("r");
+  ASSERT_NE(rg, nullptr);
+  storage::SpaceProvider* space = (*db)->shards()->space("r");
+  ASSERT_NE(space, nullptr);
+  auto extent = space->AllocateExtent(8);
+  ASSERT_TRUE(extent.ok());
+  const std::vector<char> page(512, 'p');
+  ASSERT_TRUE(space->WritePage(*extent, 0, page.data(), 1, nullptr).ok());
+
+  EXPECT_TRUE((*db)->ExecuteDdl("DROP REGION r").IsBusy());
+  EXPECT_EQ((*db)->regions()->Get("r"), rg);
+  EXPECT_TRUE((*db)->snapshots()->IsRegistered(&rg->mapper()));
+  ASSERT_NE((*db)->scheduler(), nullptr);
+  EXPECT_TRUE((*db)->scheduler()->IsRegistered(&rg->mapper()));
+
+  // Once the page is trimmed the drop goes through and both let go.
+  ASSERT_TRUE(space->TrimPage(*extent).ok());
+  const ftl::OutOfPlaceMapper* mapper = &rg->mapper();
+  EXPECT_TRUE((*db)->ExecuteDdl("DROP REGION r").ok());
+  EXPECT_FALSE((*db)->snapshots()->IsRegistered(mapper));
+  EXPECT_FALSE((*db)->scheduler()->IsRegistered(mapper));
 }
 
 TEST(DatabaseTest, CatalogPersistsDdl) {

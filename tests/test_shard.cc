@@ -199,9 +199,97 @@ TEST(ShardEquivalenceTest, OneShardIsByteIdenticalToUnshardedStack) {
   EXPECT_TRUE(sharded.rg(0)->VerifyIntegrity().ok());
 }
 
+TEST(ShardEquivalenceTest, PassthroughTicketsLeaveNothingPending) {
+  ShardedStack stack(1, ShardPlacement::kStripe);
+  ShardedSpace* space = stack.space.get();
+  auto e = space->AllocateExtent(16);
+  ASSERT_TRUE(e.ok());
+  const std::vector<char> w = PagePattern(11);
+
+  // Several batches in flight at once: each ticket is shard 0's own ticket,
+  // tagged, and the sharded space tracks none of them.
+  std::vector<IoBatch> batches(4);
+  std::vector<IoTicket> tickets;
+  for (size_t b = 0; b < batches.size(); b++) {
+    for (uint64_t i = 0; i < 4; i++) {
+      batches[b].AddWrite(*e + b * 4 + i, w.data(), 1);
+    }
+    IoTicket t = 0;
+    ASSERT_TRUE(space->SubmitBatch(&batches[b], 0, &t).ok());
+    EXPECT_NE(t & ShardedSpace::kPassthroughTag, 0u);
+    tickets.push_back(t);
+    EXPECT_EQ(space->PendingBatches(), 0u);
+  }
+  // Wait on two, poll the rest away, then wait on a polled ticket: the
+  // forwarded wait is an OK no-op and leaves the slots as the poll set them.
+  SimTime done = 0;
+  ASSERT_TRUE(space->WaitBatch(tickets[0], &done).ok());
+  EXPECT_EQ(done, batches[0].MaxComplete());
+  ASSERT_TRUE(space->WaitBatch(tickets[1], nullptr).ok());
+  EXPECT_EQ(space->PollCompletions(~SimTime{0} >> 1), 8u);
+  for (const IoBatch& b : batches) {
+    EXPECT_TRUE(b.AllDone());
+    EXPECT_TRUE(b.FirstError().ok());
+  }
+  const SimTime polled = batches[2][0].complete;
+  EXPECT_TRUE(space->WaitBatch(tickets[2], nullptr).ok());
+  EXPECT_EQ(batches[2][0].complete, polled);
+  EXPECT_EQ(space->PendingBatches(), 0u);
+  EXPECT_EQ(space->stats().passthrough_batches, 4u);
+  EXPECT_EQ(space->stats().merged_batches, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Scatter/merge semantics.
 // ---------------------------------------------------------------------------
+
+TEST(ShardScatterTest, InterleavedPassthroughAndMergedDeliverExactlyOnce) {
+  ShardedStack stack(2, ShardPlacement::kByKey);
+  ShardedSpace* space = stack.space.get();
+  auto e0 = space->AllocateExtentHinted(32, 0);
+  auto e1 = space->AllocateExtentHinted(32, 1);
+  ASSERT_TRUE(e0.ok());
+  ASSERT_TRUE(e1.ok());
+  ASSERT_EQ(ShardedSpace::ShardOf(*e0), 0u);
+  ASSERT_EQ(ShardedSpace::ShardOf(*e1), 1u);
+  const std::vector<char> w = PagePattern(12);
+
+  // Alternate shard-0-only batches (passed through) with two-shard batches
+  // (merged), keep them all in flight, and reap them in a mixed order.
+  constexpr int kBatches = 8;
+  constexpr uint64_t kPerBatch = 4;
+  std::vector<IoBatch> batches(kBatches);
+  std::vector<IoTicket> tickets(kBatches);
+  std::vector<int> delivered(kBatches * kPerBatch, 0);
+  for (int b = 0; b < kBatches; b++) {
+    const bool merged = b % 2 == 1;
+    for (uint64_t i = 0; i < kPerBatch; i++) {
+      const uint64_t base = merged && i % 2 == 1 ? *e1 : *e0;
+      IoRequest& r = batches[b].AddWrite(base + b * kPerBatch + i, w.data(), 1);
+      int* slot = &delivered[b * kPerBatch + i];
+      r.on_complete = [slot](const IoRequest&) { (*slot)++; };
+    }
+    ASSERT_TRUE(space->SubmitBatch(&batches[b], 0, &tickets[b]).ok());
+    EXPECT_EQ((tickets[b] & ShardedSpace::kPassthroughTag) != 0, !merged);
+  }
+  EXPECT_EQ(space->PendingBatches(), static_cast<size_t>(kBatches / 2));
+  ASSERT_TRUE(space->WaitBatch(tickets[3], nullptr).ok());
+  ASSERT_TRUE(space->WaitBatch(tickets[2], nullptr).ok());
+  space->PollCompletions(~SimTime{0} >> 1);
+  for (int b = kBatches - 1; b >= 0; b--) {
+    ASSERT_TRUE(space->WaitBatch(tickets[b], nullptr).ok());
+    EXPECT_TRUE(batches[b].AllDone());
+    EXPECT_TRUE(batches[b].FirstError().ok());
+  }
+  EXPECT_EQ(space->PendingBatches(), 0u);
+  for (size_t i = 0; i < delivered.size(); i++) {
+    EXPECT_EQ(delivered[i], 1) << "request " << i;
+  }
+  EXPECT_EQ(space->stats().passthrough_batches, kBatches / 2);
+  EXPECT_EQ(space->stats().merged_batches, kBatches / 2);
+  EXPECT_TRUE(stack.rg(0)->VerifyIntegrity().ok());
+  EXPECT_TRUE(stack.rg(1)->VerifyIntegrity().ok());
+}
 
 TEST(ShardScatterTest, MergedBatchRetiresAtMaxOverShards) {
   ShardedStack stack(4, ShardPlacement::kByKey);
@@ -787,7 +875,8 @@ TEST(ShardFaultTest, DatabaseSurfacesFleetHealth) {
     EXPECT_EQ(h.hard_faults, 0u);
     EXPECT_FALSE(h.degraded);
   }
-  // The unsharded stack reports one pseudo-shard and never degrades.
+  // A one-shard stack reports its one shard; with no budget it never
+  // degrades.
   db::DatabaseOptions uo;
   uo.geometry = SmallGeo();
   uo.buffer.frame_count = 64;
@@ -796,6 +885,54 @@ TEST(ShardFaultTest, DatabaseSurfacesFleetHealth) {
   db::DatabaseHealth uhealth = (*udb)->UpdateHealth();
   ASSERT_EQ(uhealth.shards.size(), 1u);
   EXPECT_FALSE(uhealth.any_degraded);
+}
+
+TEST(ShardFaultTest, OneShardDatabaseDegradesPastItsBudget) {
+  // The budget applies to a lone shard too: past it, the database keeps
+  // serving reads of intact pages, but every write and every new extent
+  // fails ReadOnly (there is no healthy shard to spill onto).
+  db::DatabaseOptions o;
+  o.geometry = SmallGeo();
+  o.sharding.hard_fault_budget = 2;
+  o.buffer.frame_count = 64;
+  auto db = db::Database::Open(o);
+  ASSERT_TRUE(db.ok());
+  ASSERT_EQ((*db)->shard_count(), 1u);
+  ASSERT_TRUE((*db)->ExecuteDdl("CREATE REGION r (MAX_CHIPS=4)").ok());
+  ShardedSpace* space = (*db)->shards()->space("r");
+  ASSERT_NE(space, nullptr);
+  auto e = space->AllocateExtent(16);
+  ASSERT_TRUE(e.ok());
+  const std::vector<char> w = PagePattern(80);
+  for (int i = 0; i < 8; i++) {
+    ASSERT_TRUE(space->WritePage(*e + i, 0, w.data(), 1, nullptr).ok());
+  }
+  EXPECT_FALSE((*db)->UpdateHealth().any_degraded);
+
+  for (int i = 0; i < 3; i++) {
+    auto addr = (*db)->regions()->Get("r")->mapper().Lookup(*e + i);
+    ASSERT_TRUE(addr.ok());
+    (*db)->device()->DebugMarkPageUnreadable(*addr);
+    std::vector<char> buf(kPageSize);
+    EXPECT_TRUE(space->ReadPage(*e + i, 0, buf.data(), nullptr).IsDataLoss());
+  }
+  db::DatabaseHealth health = (*db)->UpdateHealth();
+  ASSERT_EQ(health.shards.size(), 1u);
+  EXPECT_TRUE(health.any_degraded);
+  EXPECT_TRUE(health.shards[0].degraded);
+  EXPECT_GE(health.shards[0].hard_faults, 3u);
+
+  std::vector<char> buf(kPageSize);
+  EXPECT_TRUE(space->ReadPage(*e + 7, 0, buf.data(), nullptr).ok());
+  EXPECT_EQ(0, memcmp(buf.data(), w.data(), kPageSize));
+  EXPECT_TRUE(space->WritePage(*e + 7, 0, w.data(), 1, nullptr).IsReadOnly());
+  EXPECT_TRUE(space->AllocateExtent(16).status().IsReadOnly());
+  // Through the SQL surface too: a new table's first page cannot be placed.
+  ASSERT_TRUE((*db)->ExecuteScript(
+      "CREATE TABLESPACE ts (REGION=r);"
+      "CREATE TABLE T (a NUMBER(3)) TABLESPACE ts;").ok());
+  txn::TxnContext ctx;
+  EXPECT_TRUE((*db)->GetTable("T")->Insert(&ctx, "row").status().IsReadOnly());
 }
 
 // ---------------------------------------------------------------------------

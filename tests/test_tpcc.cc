@@ -511,20 +511,52 @@ TEST(TpccDriverTest, MixFollowsTheStandardDeck) {
 
 TEST(TpccDriverTest, GlobalWearLevelingDuringRun) {
   // Multi-region run with periodic RebalanceWear calls: must complete and
-  // keep every region's translation intact even if dies get swapped.
-  auto db = TpccDb::CreateAndLoad(
-      SmallTpcc(db::Backend::kNoFtl, /*multi_region=*/true));
-  ASSERT_TRUE(db.ok()) << db.status().ToString();
-  DriverOptions options;
-  options.terminals = 4;
-  options.max_transactions = 800;
-  options.global_wl_interval = 100;
-  TpccDriver driver(db->get(), options);
-  auto report = driver.Run();
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_GT(report->transactions, 600u);
-  for (auto* rg : db->get()->database()->regions()->regions()) {
-    EXPECT_TRUE(rg->mapper().VerifyIntegrity().ok()) << rg->name();
+  // keep every region's translation intact even if dies get swapped. With
+  // two shards the rebalance must reach past shard 0: on a device small
+  // enough for GC to wear the regions unevenly, with a low spread
+  // threshold, shard 1 swaps dies of its own.
+  for (uint32_t shards : {1u, 2u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    TpccDbOptions o = SmallTpcc(db::Backend::kNoFtl, /*multi_region=*/true);
+    o.db.sharding.shard_count = shards;
+    if (shards > 1) {
+      flash::FlashGeometry& geo = o.db.geometry;
+      geo.blocks_per_die = 8;
+      o.placement = DeriveFigure2Placement(
+          o.scale, geo.page_size, /*expected_new_orders=*/500,
+          geo.total_dies(),
+          UsablePagesPerDie(geo.blocks_per_die, geo.pages_per_block));
+      o.db.global_wl.spread_threshold = 0.5;
+    }
+    auto db = TpccDb::CreateAndLoad(o);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    shard::ShardRouter* router = db->get()->database()->shards();
+    auto die_sets = [&](size_t s) {
+      std::vector<std::vector<flash::DieId>> out;
+      for (auto* rg : router->regions(s)->regions()) out.push_back(rg->dies());
+      return out;
+    };
+    std::vector<std::vector<std::vector<flash::DieId>>> before;
+    for (size_t s = 0; s < shards; s++) before.push_back(die_sets(s));
+    DriverOptions options;
+    options.terminals = 4;
+    options.max_transactions = 800;
+    options.global_wl_interval = 100;
+    TpccDriver driver(db->get(), options);
+    auto report = driver.Run();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_GT(report->transactions, 600u);
+    bool swapped_past_shard0 = false;
+    for (size_t s = 0; s < shards; s++) {
+      for (auto* rg : router->regions(s)->regions()) {
+        EXPECT_TRUE(rg->mapper().VerifyIntegrity().ok())
+            << "shard " << s << " " << rg->name();
+      }
+      if (s > 0 && die_sets(s) != before[s]) swapped_past_shard0 = true;
+    }
+    if (shards > 1) {
+      EXPECT_TRUE(swapped_past_shard0);
+    }
   }
 }
 
