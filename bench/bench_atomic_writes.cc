@@ -19,6 +19,7 @@
 #include "flash/device.h"
 #include "ftl/page_ftl.h"
 #include "noftl/region_manager.h"
+#include "storage/space_provider.h"
 
 namespace noftl::bench {
 namespace {
@@ -87,13 +88,14 @@ Outcome RunFtlDoublewrite(uint32_t batch_pages, uint64_t commits) {
   flash::FlashGeometry geo = Geometry();
   flash::FlashDevice device(geo, flash::FlashTiming{});
   ftl::PageMappingFtl ftl(&device, ftl::FtlOptions{});
+  storage::FtlSpace space(&ftl);
 
   // Reserve a journal window at the top of the LBA space.
   const uint64_t journal_pages = 1024;
   const uint64_t journal_base = ftl.sector_count() - journal_pages;
   const uint64_t working_set = (ftl.sector_count() - journal_pages) * 3 / 4;
   for (uint64_t p = 0; p < working_set; p++) {
-    ftl.WriteSector(p, 0, nullptr, nullptr);
+    space.WritePage(p, 0, nullptr, 0, nullptr);
   }
   device.stats().Reset();
 
@@ -116,9 +118,9 @@ Outcome RunFtlDoublewrite(uint32_t batch_pages, uint64_t commits) {
     // Phase 1: journal the new images (sequential window, wraps around).
     for (size_t i = 0; i < batch.size(); i++) {
       SimTime t = now;
-      Status s = ftl.WriteSector(journal_base +
+      Status s = space.WritePage(journal_base +
                                      (journal_cursor++ % journal_pages),
-                                 now, nullptr, &t);
+                                 now, nullptr, 0, &t);
       if (!s.ok()) {
         fprintf(stderr, "journal write failed: %s\n", s.ToString().c_str());
         exit(1);
@@ -129,7 +131,7 @@ Outcome RunFtlDoublewrite(uint32_t batch_pages, uint64_t commits) {
     const SimTime home_start = done;
     for (uint64_t lpn : batch) {
       SimTime t = home_start;
-      Status s = ftl.WriteSector(lpn, home_start, nullptr, &t);
+      Status s = space.WritePage(lpn, home_start, nullptr, 0, &t);
       if (!s.ok()) {
         fprintf(stderr, "home write failed: %s\n", s.ToString().c_str());
         exit(1);

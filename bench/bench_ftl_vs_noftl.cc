@@ -20,6 +20,7 @@
 #include "flash/device.h"
 #include "ftl/page_ftl.h"
 #include "noftl/region_manager.h"
+#include "storage/space_provider.h"
 
 namespace noftl::bench {
 namespace {
@@ -80,14 +81,15 @@ RunStats RunFtl(const Flags& flags, uint64_t hot_pages, uint64_t cold_pages) {
   // Give the FTL the same physical spare the NoFTL run gets.
   options.over_provisioning = 0.0;
   ftl::PageMappingFtl ftl(&device, options);
+  storage::FtlSpace space(&ftl);
   std::vector<char> buf(4096, 'x');
 
   Drive(flags, &device, hot_pages, cold_pages,
         [&](uint64_t page, SimTime now) {
-          ftl.WriteSector(page, now, buf.data(), nullptr);
+          space.WritePage(page, now, buf.data(), 0, nullptr);
         },
         [&](uint64_t page, SimTime now) {
-          ftl.ReadSector(page, now, buf.data(), nullptr);
+          space.ReadPage(page, now, buf.data(), nullptr);
         });
 
   const auto& s = device.stats();

@@ -12,6 +12,7 @@
 #include "bench/bench_util.h"
 #include "flash/device.h"
 #include "ftl/page_ftl.h"
+#include "storage/space_provider.h"
 
 namespace noftl::bench {
 namespace {
@@ -38,17 +39,18 @@ int Main(int argc, char** argv) {
     ftl::FtlOptions options;
     options.over_provisioning = op;
     ftl::PageMappingFtl ftl(&device, options);
+    storage::FtlSpace space(&ftl);
 
     const uint64_t n = ftl.sector_count();
     for (uint64_t lba = 0; lba < n; lba++) {
-      ftl.WriteSector(lba, 0, nullptr, nullptr);
+      space.WritePage(lba, 0, nullptr, 0, nullptr);
     }
     device.stats().Reset();
     Rng rng(3);
     SimTime now = 0;
     for (uint64_t i = 0; i < writes_x * n; i++) {
       now += 60;
-      Status s = ftl.WriteSector(rng.Below(n), now, nullptr, nullptr);
+      Status s = space.WritePage(rng.Below(n), now, nullptr, 0, nullptr);
       if (!s.ok()) {
         fprintf(stderr, "write failed: %s\n", s.ToString().c_str());
         return 1;

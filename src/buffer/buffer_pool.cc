@@ -58,26 +58,6 @@ Status PageIo::WaitBatch(PageIoTicket ticket, SimTime* complete) {
   return Status::OK();
 }
 
-Status PageIo::ReadPagesRaw(PageReadReq* reqs, size_t count, SimTime issue,
-                            SimTime* complete) {
-  PageIoTicket ticket = 0;
-  NOFTL_RETURN_IF_ERROR(SubmitReads(reqs, count, issue, &ticket));
-  SimTime done = issue;
-  NOFTL_RETURN_IF_ERROR(WaitBatch(ticket, &done));
-  if (complete != nullptr) *complete = done;
-  return Status::OK();
-}
-
-Status PageIo::WritePagesRaw(PageWriteReq* reqs, size_t count, SimTime issue,
-                             SimTime* complete) {
-  PageIoTicket ticket = 0;
-  NOFTL_RETURN_IF_ERROR(SubmitWrites(reqs, count, issue, &ticket));
-  SimTime done = issue;
-  NOFTL_RETURN_IF_ERROR(WaitBatch(ticket, &done));
-  if (complete != nullptr) *complete = done;
-  return Status::OK();
-}
-
 Status FrameTable::VerifyIntegrity() const {
   uint32_t live = 0;
   for (uint64_t i = 0; i < slots_.size(); i++) {

@@ -116,15 +116,6 @@ class PageIo {
   virtual Status WritePageRaw(uint64_t page_no, SimTime issue,
                               const char* data, SimTime* complete) = 0;
 
-  /// Batched variants: all requests are issued at `issue` in one submission
-  /// (cross-die overlap below); per-request slots are filled and *complete
-  /// receives the max finish time. The defaults run SubmitReads/Writes +
-  /// WaitBatch back to back.
-  Status ReadPagesRaw(PageReadReq* reqs, size_t count, SimTime issue,
-                      SimTime* complete);
-  Status WritePagesRaw(PageWriteReq* reqs, size_t count, SimTime issue,
-                       SimTime* complete);
-
   /// Queued variants: enqueue the whole run at `issue` and return a ticket
   /// immediately; the per-request slots are filled when the ticket is
   /// reaped with WaitBatch, so the pool keeps claiming/bookkeeping while

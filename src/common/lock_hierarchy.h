@@ -63,8 +63,8 @@ enum class LockRank : uint16_t {
   /// ShardedSpace extent-allocation lock; taken before the per-shard
   /// allocator locks it probes.
   kShardAlloc = 500,
-  /// Region / FtlSpace extent-allocator locks (free-span lists). Region::
-  /// FreeExtent trims through the mapper under this lock.
+  /// storage::ExtentAllocator's free-span list (one per Region and per
+  /// FtlSpace). Leaf-like: FreeExtent trims its pages before taking it.
   kBackendAlloc = 520,
   /// Tablespace in-flight-submission map (pending_mu_). Taken and released
   /// around provider calls, never across them.

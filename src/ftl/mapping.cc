@@ -764,6 +764,44 @@ Status OutOfPlaceMapper::SubmitBatch(storage::IoRequest* requests, size_t count,
   return Status::OK();
 }
 
+Status OutOfPlaceMapper::SubmitBatch(storage::IoBatch* batch, SimTime issue,
+                                     storage::IoTicket* ticket) {
+  if (ticket != nullptr) *ticket = 0;
+  if (!batch->atomic()) {
+    return SubmitBatch(batch->requests().data(), batch->size(), issue,
+                       OpOrigin::kHost, ticket);
+  }
+  auto reject = [batch](Status s) {
+    batch->FailAll(s);
+    return s;
+  };
+  // Reads and trims cannot be rolled back into an all-or-nothing install,
+  // and the atomic machinery stamps one object id on the whole batch, so a
+  // mixed-object batch would mis-attribute OOB ownership.
+  std::vector<BatchPage> pages;
+  pages.reserve(batch->size());
+  for (const storage::IoRequest& r : batch->requests()) {
+    if (r.op != storage::IoOp::kWrite) {
+      return reject(
+          Status::InvalidArgument("atomic batch must be writes only"));
+    }
+    if (r.object_id != batch->requests().front().object_id) {
+      return reject(Status::InvalidArgument("atomic batch spans object ids"));
+    }
+    pages.push_back({r.lpn, r.write_data});
+  }
+  const uint32_t object_id =
+      batch->empty() ? 0 : batch->requests().front().object_id;
+  SimTime done = issue;
+  Status s = WriteAtomicBatch(pages, issue, OpOrigin::kHost, object_id, &done);
+  if (!s.ok()) return reject(s);
+  const storage::IoTicket t =
+      EnqueueResolved(batch->requests().data(), batch->size(), issue, s, done);
+  if (ticket == nullptr) return WaitBatch(t, nullptr);
+  *ticket = t;
+  return Status::OK();
+}
+
 storage::IoTicket OutOfPlaceMapper::EnqueueResolved(
     storage::IoRequest* requests, size_t count, SimTime issue,
     const Status& status, SimTime done) {

@@ -284,6 +284,17 @@ class OutOfPlaceMapper {
   Status SubmitBatch(storage::IoRequest* requests, size_t count, SimTime issue,
                      flash::OpOrigin origin, storage::IoTicket* ticket);
 
+  /// Host submission of a whole IoBatch — the entry a region and the
+  /// traditional FTL share. An independent batch is the array SubmitBatch
+  /// above. An atomic batch must be writes only, all of one object id: it
+  /// installs all-or-nothing through WriteAtomicBatch at submit (the commit
+  /// decision cannot wait) and delivers its completions at reap through
+  /// EnqueueResolved. A rejected atomic batch delivers its slots at once
+  /// (IoBatch::FailAll) and yields no ticket; with a null `ticket` slot the
+  /// batch is resolved before returning.
+  Status SubmitBatch(storage::IoBatch* batch, SimTime issue,
+                     storage::IoTicket* ticket);
+
   /// Reap every request of `ticket` (requests retire in submission order,
   /// firing their callbacks): fills the completion slots and, if non-null,
   /// `*complete` with the batch finish time (max over successful requests,

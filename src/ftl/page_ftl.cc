@@ -44,75 +44,24 @@ uint32_t PageMappingFtl::sector_size() const {
   return device_->geometry().page_size;
 }
 
-Status PageMappingFtl::ReadSector(uint64_t lba, SimTime issue, char* data,
-                                  SimTime* complete) {
-  return mapper_->Read(lba, issue, flash::OpOrigin::kHost, data, complete);
-}
-
-Status PageMappingFtl::WriteSector(uint64_t lba, SimTime issue,
-                                   const char* data, SimTime* complete) {
-  // Behind a block interface the FTL cannot know which object a sector
-  // belongs to — that is precisely the paper's criticism — so everything is
-  // tagged with object 0.
-  return mapper_->Write(lba, issue, flash::OpOrigin::kHost, data,
-                        /*object_id=*/0, complete);
-}
-
-Status PageMappingFtl::Trim(uint64_t lba) { return mapper_->Trim(lba); }
-
 Status PageMappingFtl::SubmitBatch(storage::IoBatch* batch, SimTime issue,
                                    storage::IoTicket* ticket) {
-  if (ticket != nullptr) *ticket = 0;
-  // Object identity is invisible below the block interface: submit with the
-  // ids zeroed, but restore them once the submission is enqueued (writes
-  // resolve their state at submit; the pending completions never look at
-  // the object id) — the batch belongs to the caller, who may resubmit it
-  // against an object-aware provider.
+  // Object identity is invisible below the block interface (precisely the
+  // paper's criticism), so every sector is tagged object 0. The ids come
+  // back once the submission is enqueued: writes resolve at submit, pending
+  // completions never read them, and the batch belongs to the caller, who
+  // may resubmit it to an object-aware provider.
   std::vector<uint32_t> object_ids;
   object_ids.reserve(batch->size());
   for (storage::IoRequest& r : batch->requests()) {
     object_ids.push_back(r.object_id);
     r.object_id = 0;
   }
-  struct RestoreIds {
-    storage::IoBatch* batch;
-    std::vector<uint32_t>* ids;
-    ~RestoreIds() {
-      for (size_t i = 0; i < ids->size(); i++) {
-        batch->requests()[i].object_id = (*ids)[i];
-      }
-    }
-  } restore{batch, &object_ids};
-  if (batch->atomic()) {
-    // A rejected atomic submission delivers its slots now (IoBatch::FailAll
-    // documents the contract; see also space_provider.h).
-    auto reject = [batch](Status s) {
-      batch->FailAll(s);
-      return s;
-    };
-    std::vector<OutOfPlaceMapper::BatchPage> pages;
-    pages.reserve(batch->size());
-    for (const storage::IoRequest& r : batch->requests()) {
-      if (r.op != storage::IoOp::kWrite) {
-        return reject(
-            Status::InvalidArgument("atomic batch must be writes only"));
-      }
-      pages.push_back({r.lpn, r.write_data});
-    }
-    SimTime done = issue;
-    Status s = mapper_->WriteAtomicBatch(pages, issue, flash::OpOrigin::kHost,
-                                         /*object_id=*/0, &done);
-    if (!s.ok()) return reject(s);
-    const storage::IoTicket t = mapper_->EnqueueResolved(
-        batch->requests().data(), batch->size(), issue, s, done);
-    // No ticket slot = the caller can never reap: resolve now (see
-    // OutOfPlaceMapper::SubmitBatch).
-    if (ticket == nullptr) return mapper_->WaitBatch(t, nullptr);
-    *ticket = t;
-    return Status::OK();
+  const Status s = mapper_->SubmitBatch(batch, issue, ticket);
+  for (size_t i = 0; i < object_ids.size(); i++) {
+    batch->requests()[i].object_id = object_ids[i];
   }
-  return mapper_->SubmitBatch(batch->requests().data(), batch->size(), issue,
-                              flash::OpOrigin::kHost, ticket);
+  return s;
 }
 
 }  // namespace noftl::ftl

@@ -2,10 +2,11 @@
 // behind an immutable-address block-device interface.
 //
 // This is the comparator the paper's §1 argues against: the DBMS sees only
-// ReadSector/WriteSector over a linear LBA space; hot and cold data from all
-// database objects mix in the same physical pool; GC and WL run inside the
-// "device" with no knowledge of the data. Over-provisioning is the classic
-// SSD knob (physical capacity withheld from the logical space).
+// a linear LBA space of sectors (through storage::FtlSpace, whose page I/O
+// and extents map 1:1 onto LBAs); hot and cold data from all database
+// objects mix in the same physical pool; GC and WL run inside the "device"
+// with no knowledge of the data. Over-provisioning is the classic SSD knob
+// (physical capacity withheld from the logical space).
 #pragma once
 
 #include <cstdint>
@@ -35,16 +36,6 @@ class PageMappingFtl {
   uint64_t sector_count() const { return mapper_->logical_pages(); }
   uint32_t sector_size() const;
 
-  /// Block-device reads/writes at sector granularity. Reads of never-written
-  /// sectors fail with NotFound (a real drive would return zeroes; failing
-  /// loudly catches engine bugs).
-  Status ReadSector(uint64_t lba, SimTime issue, char* data, SimTime* complete);
-  Status WriteSector(uint64_t lba, SimTime issue, const char* data,
-                     SimTime* complete);
-
-  /// TRIM/deallocate a sector (SATA DSM / NVMe deallocate analogue).
-  Status Trim(uint64_t lba);
-
   /// Queued submission (NVMe-style queue pair): every request enters the
   /// device at `issue`, cross-die requests overlap, and the caller reaps
   /// completions with WaitBatch/PollCompletions — computation between
@@ -60,11 +51,6 @@ class PageMappingFtl {
   }
   size_t PollCompletions(SimTime until) {
     return mapper_->PollCompletions(until);
-  }
-  Status RunBatch(storage::IoBatch* batch, SimTime issue, SimTime* complete) {
-    storage::IoTicket ticket = 0;
-    NOFTL_RETURN_IF_ERROR(SubmitBatch(batch, issue, &ticket));
-    return WaitBatch(ticket, complete);
   }
 
   const MapperStats& stats() const { return mapper_->stats(); }

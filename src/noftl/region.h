@@ -6,10 +6,11 @@
 // region; objects with different properties in different, physically
 // separate regions (hot/cold separation at object granularity).
 //
-// A region exports a logical page space; tablespaces allocate *extents* from
-// it and the DBMS reads/writes logical pages directly — the "Native Flash
-// Interface" path of the paper's Figure 1, with no FTL or file system in
-// between.
+// A region is itself a storage::SpaceProvider: tablespaces allocate
+// *extents* from its logical page space and submit page I/O to it directly
+// — the "Native Flash Interface" path of the paper's Figure 1, with no FTL,
+// file system or forwarding layer in between. The blocking single-page
+// calls are SpaceProvider's shared helpers over SubmitBatch.
 #pragma once
 
 #include <cstdint>
@@ -17,12 +18,13 @@
 #include <string>
 #include <vector>
 
-#include "common/annotated_mutex.h"
 #include "common/sim_clock.h"
 #include "common/status.h"
 #include "flash/device.h"
 #include "ftl/mapping.h"
+#include "storage/extent_allocator.h"
 #include "storage/io_batch.h"
+#include "storage/space_provider.h"
 
 namespace noftl::region {
 
@@ -42,9 +44,9 @@ struct RegionOptions {
   ftl::MapperOptions mapper;
 };
 
-/// A live region: die set + translation + GC/WL, plus an extent allocator
+/// A live region: die set + translation + GC/WL, plus the extent allocator
 /// for the tablespaces bound to it.
-class Region {
+class Region : public storage::SpaceProvider {
  public:
   Region(RegionId id, const RegionOptions& options,
          flash::FlashDevice* device, std::vector<flash::DieId> dies);
@@ -54,51 +56,34 @@ class Region {
   const RegionOptions& options() const { return options_; }
   std::vector<flash::DieId> dies() const { return mapper_->dies(); }
   uint64_t logical_pages() const { return mapper_->logical_pages(); }
-  uint32_t page_size() const;
+  uint32_t page_size() const override;
 
-  // --- Page I/O (the DBMS storage manager calls these directly) ---
+  // --- storage::SpaceProvider ---
 
-  /// Read region-logical page `rlpn`.
-  Status ReadPage(uint64_t rlpn, SimTime issue, char* data, SimTime* complete);
+  /// Allocate a contiguous run of `pages` logical pages; returns the first
+  /// logical page number. First-fit over the free span list.
+  Result<uint64_t> AllocateExtent(uint64_t pages) override {
+    return extents_.Allocate(pages);
+  }
 
-  /// Write region-logical page `rlpn` out-of-place. `object_id` identifies
-  /// the owning database object and is persisted in the page's OOB metadata.
-  Status WritePage(uint64_t rlpn, SimTime issue, const char* data,
-                   uint32_t object_id, SimTime* complete);
+  /// Return an extent to the region; its pages are trimmed first.
+  Status FreeExtent(uint64_t start, uint64_t pages) override {
+    return extents_.Free(start, pages,
+                         [this](uint64_t p) { return mapper_->Trim(p); });
+  }
 
-  /// Deallocate a logical page (the DBMS dropped/shrank an object).
-  Status TrimPage(uint64_t rlpn);
-
-  /// Submission entry point: enqueue every request of the batch at `issue`
-  /// and return a ticket immediately (write requests carry their owning
-  /// object id). Same-die requests queue FIFO, cross-die requests proceed
-  /// in parallel; completion slots are filled only when the caller reaps
-  /// via WaitBatch/PollCompletions, so computation between submit and reap
-  /// overlaps with the in-flight flash work. An atomic batch (writes only)
-  /// routes through WriteAtomic and installs all-or-nothing at submit (the
-  /// commit decision cannot wait), with its completions delivered at reap;
-  /// a failed atomic submission returns the error with the slots filled and
-  /// no ticket.
+  /// Host-origin submission to the region's mapper (write requests carry
+  /// their owning object id into the OOB metadata). See
+  /// ftl::OutOfPlaceMapper::SubmitBatch for queueing and atomic batches.
   Status SubmitBatch(storage::IoBatch* batch, SimTime issue,
-                     storage::IoTicket* ticket);
-
-  /// Reap all requests of `ticket`; `*complete` (if non-null) receives the
-  /// batch finish time (max over successful requests, at least the issue
-  /// time). No-op for an unknown/already-reaped ticket.
-  Status WaitBatch(storage::IoTicket ticket, SimTime* complete) {
+                     storage::IoTicket* ticket) override {
+    return mapper_->SubmitBatch(batch, issue, ticket);
+  }
+  Status WaitBatch(storage::IoTicket ticket, SimTime* complete) override {
     return mapper_->WaitBatch(ticket, complete);
   }
-
-  /// Reap every request retired by `until` across in-flight batches.
-  size_t PollCompletions(SimTime until) {
+  size_t PollCompletions(SimTime until) override {
     return mapper_->PollCompletions(until);
-  }
-
-  /// Call-and-resolve convenience: submit + wait in one step.
-  Status RunBatch(storage::IoBatch* batch, SimTime issue, SimTime* complete) {
-    storage::IoTicket ticket = 0;
-    NOFTL_RETURN_IF_ERROR(SubmitBatch(batch, issue, &ticket));
-    return WaitBatch(ticket, complete);
   }
 
   /// Atomic multi-page write (paper §1, advantage iv): either every page of
@@ -112,17 +97,7 @@ class Region {
 
   bool IsMapped(uint64_t rlpn) const { return mapper_->IsMapped(rlpn); }
 
-  // --- Extent allocation (tablespaces draw space from the region) ---
-
-  /// Allocate a contiguous run of `pages` logical pages; returns the first
-  /// logical page number. First-fit over the free span list.
-  Result<uint64_t> AllocateExtent(uint64_t pages);
-
-  /// Return an extent to the region; pages are trimmed.
-  Status FreeExtent(uint64_t start, uint64_t pages);
-
-  /// Logical pages not yet allocated to any extent.
-  uint64_t UnallocatedPages() const;
+  const storage::ExtentAllocator& extents() const { return extents_; }
 
   // --- Wear & maintenance ---
 
@@ -141,22 +116,13 @@ class Region {
   Status AddDie(flash::DieId die) { return mapper_->AddDie(die); }
 
  private:
-  /// Free logical span [start, start+pages).
-  struct Span {
-    uint64_t start;
-    uint64_t pages;
-  };
-
   RegionId id_;
   RegionOptions options_;
   flash::FlashDevice* device_;
   std::unique_ptr<ftl::OutOfPlaceMapper> mapper_;
-  /// Guards the extent allocator below. Page I/O needs no region lock — it
-  /// forwards straight to the mapper, which has its own latch. Ranked
-  /// kBackendAlloc: FreeExtent trims through the mapper while holding it.
-  mutable Mutex alloc_mu_{LockRank::kBackendAlloc};
-  /// Sorted by start, coalesced.
-  std::vector<Span> free_spans_ GUARDED_BY(alloc_mu_);
+  /// Page I/O needs no region lock — it goes straight to the mapper, which
+  /// has its own latch; the allocator has its own.
+  storage::ExtentAllocator extents_;
 };
 
 /// Compute the logical page count a region of `dies` dies exports under

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -221,8 +222,8 @@ Status RegionManager::RebalanceWear(SimTime issue, bool* swapped) {
       hot->AvgEraseCount() - cold->AvgEraseCount() < wl_.spread_threshold) {
     return Status::OK();
   }
-  if (hot->dies().size() < 2 || cold->dies().size() < 2) {
-    return Status::OK();  // draining would leave a region die-less
+  if (hot->dies().size() < 2 && cold->dies().size() < 2) {
+    return Status::OK();  // neither region can drain a die into another
   }
 
   // Most-worn die of the hot region, least-worn die of the cold region.
@@ -234,23 +235,47 @@ Status RegionManager::RebalanceWear(SimTime issue, bool* swapped) {
   for (DieId d : cold->dies()) {
     if (DieAvgErase(d) < DieAvgErase(fresh)) fresh = d;
   }
+  // A drain that is not safely possible (NoSpace/Busy) cancels the swap.
+  auto cancelled = [](const Status& s) {
+    return s.IsNoSpace() || s.IsBusy() ? Status::OK() : s;
+  };
 
-  // Drain both dies; if either drain is impossible, roll back.
-  Status s = hot->RemoveDie(worn, issue);
-  if (!s.ok()) {
-    if (s.IsNoSpace() || s.IsBusy()) return Status::OK();  // not safely possible
-    return s;
+  if (hot->dies().size() >= 2 && cold->dies().size() >= 2) {
+    // Drain both dies; if either drain is impossible, roll back.
+    Status s = hot->RemoveDie(worn, issue);
+    if (!s.ok()) return cancelled(s);
+    s = cold->RemoveDie(fresh, issue);
+    if (!s.ok()) {
+      NOFTL_RETURN_IF_ERROR(hot->AddDie(worn));
+      return cancelled(s);
+    }
+    // Exchange: the hot region gets the fresh die, the cold one the worn die.
+    NOFTL_RETURN_IF_ERROR(hot->AddDie(fresh));
+    NOFTL_RETURN_IF_ERROR(cold->AddDie(worn));
+  } else {
+    // A one-die region cannot give its die up first: the other region hands
+    // over its die, the one-die region takes it and then drains its own die
+    // onto it, and that die goes back the other way.
+    struct Move {
+      DieId die;
+      Region* from;
+      Region* to;
+    };
+    Move first{worn, hot, cold};
+    Move second{fresh, cold, hot};
+    if (hot->dies().size() < 2) std::swap(first, second);
+    Status s = first.from->RemoveDie(first.die, issue);
+    if (!s.ok()) return cancelled(s);
+    NOFTL_RETURN_IF_ERROR(first.to->AddDie(first.die));
+    s = second.from->RemoveDie(second.die, issue);
+    if (!s.ok()) {
+      // Restore both die sets: drain the handed-over die back out.
+      NOFTL_RETURN_IF_ERROR(first.to->RemoveDie(first.die, issue));
+      NOFTL_RETURN_IF_ERROR(first.from->AddDie(first.die));
+      return cancelled(s);
+    }
+    NOFTL_RETURN_IF_ERROR(second.to->AddDie(second.die));
   }
-  s = cold->RemoveDie(fresh, issue);
-  if (!s.ok()) {
-    NOFTL_RETURN_IF_ERROR(hot->AddDie(worn));
-    if (s.IsNoSpace() || s.IsBusy()) return Status::OK();
-    return s;
-  }
-
-  // Exchange: the hot region gets the fresh die, the cold one the worn die.
-  NOFTL_RETURN_IF_ERROR(hot->AddDie(fresh));
-  NOFTL_RETURN_IF_ERROR(cold->AddDie(worn));
   if (swapped != nullptr) *swapped = true;
   NOFTL_LOG_INFO("global WL: swapped die %u (hot %s) with die %u (cold %s)",
                  worn, hot->name().c_str(), fresh, cold->name().c_str());

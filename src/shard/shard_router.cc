@@ -85,7 +85,6 @@ Result<ShardedSpace*> ShardRouter::CreateRegion(
   if (fanned_regions_.count(options.name) != 0) {
     return Status::AlreadyExists("sharded region " + options.name);
   }
-  FannedRegion fanned;
   std::vector<storage::SpaceProvider*> providers;
   for (size_t s = 0; s < shards_.size(); s++) {
     auto rg = shards_[s].regions->CreateRegion(options);
@@ -97,13 +96,12 @@ Result<ShardedSpace*> ShardRouter::CreateRegion(
       }
       return rg.status();
     }
-    fanned.per_shard.push_back(std::make_unique<storage::RegionSpace>(*rg));
-    providers.push_back(fanned.per_shard.back().get());
+    providers.push_back(*rg);
   }
-  fanned.sharded = std::make_unique<ShardedSpace>(std::move(providers),
-                                                  options_.shard.placement);
-  ShardedSpace* out = fanned.sharded.get();
-  fanned_regions_[options.name] = std::move(fanned);
+  auto& sharded = fanned_regions_[options.name];
+  sharded = std::make_unique<ShardedSpace>(std::move(providers),
+                                           options_.shard.placement);
+  ShardedSpace* out = sharded.get();
   for (size_t s = 0; s < schedulers_.size(); s++) {
     region::Region* rg = shards_[s].regions->Get(options.name);
     if (rg != nullptr) schedulers_[s]->RegisterMapper(&rg->mapper());
@@ -190,7 +188,7 @@ Status ShardRouter::ShrinkRegion(const std::string& name, uint32_t count,
 ShardedSpace* ShardRouter::space(const std::string& region_name) {
   MutexLock lock(ddl_mu_);
   auto it = fanned_regions_.find(region_name);
-  return it == fanned_regions_.end() ? nullptr : it->second.sharded.get();
+  return it == fanned_regions_.end() ? nullptr : it->second.get();
 }
 
 region::Region* ShardRouter::region(size_t s, const std::string& name) {
@@ -239,9 +237,9 @@ void ShardRouter::SetPlacementHint(uint64_t key) {
   if (!PlacementHintMatters()) return;
   MutexLock lock(ddl_mu_);
   if (ftl_sharded_ != nullptr) ftl_sharded_->SetPlacementHint(key);
-  for (auto& [name, fanned] : fanned_regions_) {
+  for (auto& [name, sharded] : fanned_regions_) {
     (void)name;
-    fanned.sharded->SetPlacementHint(key);
+    sharded->SetPlacementHint(key);
   }
 }
 
@@ -280,9 +278,9 @@ void ShardRouter::ClearPlacementHint() {
   if (!PlacementHintMatters()) return;
   MutexLock lock(ddl_mu_);
   if (ftl_sharded_ != nullptr) ftl_sharded_->ClearPlacementHint();
-  for (auto& [name, fanned] : fanned_regions_) {
+  for (auto& [name, sharded] : fanned_regions_) {
     (void)name;
-    fanned.sharded->ClearPlacementHint();
+    sharded->ClearPlacementHint();
   }
 }
 
@@ -309,9 +307,9 @@ std::vector<ShardHealthStatus> ShardRouter::UpdateHealth() {
     if (ftl_sharded_ != nullptr) {
       ftl_sharded_->SetShardDegraded(s, h.degraded);
     }
-    for (auto& [name, fanned] : fanned_regions_) {
+    for (auto& [name, sharded] : fanned_regions_) {
       (void)name;
-      fanned.sharded->SetShardDegraded(s, h.degraded);
+      sharded->SetShardDegraded(s, h.degraded);
     }
   }
   return out;

@@ -182,12 +182,6 @@ class ShardRouter {
     std::unique_ptr<storage::FtlSpace> ftl_space;    ///< kFtl
   };
 
-  /// Per-shard RegionSpace facades plus the ShardedSpace striped over them.
-  struct FannedRegion {
-    std::vector<std::unique_ptr<storage::RegionSpace>> per_shard;
-    std::unique_ptr<ShardedSpace> sharded;
-  };
-
   ShardRouterOptions options_;
   /// Immutable after Open (the shard stacks themselves have their own
   /// latches; only the fan-out maps below change afterwards).
@@ -199,7 +193,9 @@ class ShardRouter {
   mutable Mutex ddl_mu_{LockRank::kRouter};
   std::vector<uint8_t> degraded_ GUARDED_BY(ddl_mu_);
   std::unique_ptr<ShardedSpace> ftl_sharded_;
-  std::map<std::string, FannedRegion> fanned_regions_ GUARDED_BY(ddl_mu_);
+  /// Each fanned region's ShardedSpace, striped over its per-shard Regions.
+  std::map<std::string, std::unique_ptr<ShardedSpace>> fanned_regions_
+      GUARDED_BY(ddl_mu_);
   /// One per shard when options_.scheduler.enabled; declared last so they
   /// are destroyed (service threads joined, reclaimer flags cleared) before
   /// the shard stacks whose mappers they reference.

@@ -17,14 +17,16 @@
 // (IoRequest::on_complete). Whatever the caller computes between submit and
 // reap overlaps with the in-flight flash work: the wall time of a
 // submit/compute/reap sequence is max(compute, max-over-dies I/O), not the
-// sum. RunBatch is the call-and-resolve convenience (submit + wait).
+// sum.
 //
-// Layering: IoBatch is a plain data carrier with no I/O of its own. Every
-// level of the stack accepts one:
-//   * ftl::OutOfPlaceMapper::SubmitBatch — translate + vectored enqueue;
-//   * region::Region::SubmitBatch / ftl::PageMappingFtl::SubmitBatch;
-//   * storage::SpaceProvider::SubmitBatch (the only virtual submission entry
-//     point — the single-page calls are one-element RunBatch wrappers);
+// Layering: IoBatch is a plain data carrier with no I/O of its own.
+//   * ftl::OutOfPlaceMapper::SubmitBatch(IoBatch*) — translate + vectored
+//     enqueue, and the one place atomic batches are unpacked;
+//   * storage::SpaceProvider::SubmitBatch — the storage manager's entry
+//     point, implemented by region::Region, FtlSpace (through
+//     ftl::PageMappingFtl, which hides object ids) and ShardedSpace;
+//     SpaceProvider's RunBatch and single-page calls are the one blocking
+//     helper over it;
 //   * buffer::BufferPool::SubmitFetch / batched write-back build batches
 //     from page misses and dirty frames and reap before returning.
 //

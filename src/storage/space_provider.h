@@ -1,30 +1,28 @@
 // SpaceProvider — the storage manager's view of "somewhere pages live".
 //
-// Two implementations mirror the paper's two architectures:
-//   * RegionSpace  — NoFTL: a region drives placement directly (object ids
-//     reach the flash OOB metadata, GC is object-aware by construction);
-//   * FtlSpace     — traditional SSD: a linear LBA space behind a block
-//     device; object identity is invisible below this line.
+// Implementations mirror the paper's two architectures, plus the router:
+//   * region::Region — NoFTL: the region itself is the provider; object ids
+//     reach the flash OOB metadata and GC is object-aware by construction;
+//   * FtlSpace       — traditional SSD: a linear LBA space behind a block
+//     device; object identity is invisible below this line;
+//   * shard::ShardedSpace — one logical space striped over N of the above.
 //
-// The I/O surface is an event-driven submission/completion queue: SubmitBatch
-// hands N requests to the backend at one issue time and returns a ticket
-// immediately; requests on distinct dies overlap, the batch retires at the
-// max over dies, and the caller reaps with WaitBatch/PollCompletions (or
-// per-request callbacks) — so whatever it computes in between overlaps with
-// the in-flight flash work (see storage/io_batch.h). RunBatch is the
-// call-and-resolve convenience, and the single-page calls are thin wrappers
-// over a one-element RunBatch, kept so existing callers stay
-// source-compatible while hot paths move to submit-early/reap-late.
+// The I/O surface is one event-driven submission/completion queue:
+// SubmitBatch hands N requests to the backend at one issue time and returns
+// a ticket immediately; requests on distinct dies overlap, the batch retires
+// at the max over dies, and the caller reaps with WaitBatch/PollCompletions
+// (or per-request callbacks), so whatever it computes in between overlaps
+// with the in-flight flash work (see storage/io_batch.h). The blocking calls
+// below (RunBatch and the single-page ReadPage/WritePage/TrimPage) are the
+// one shared helper over that queue: every layer gets them from here.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
-#include "common/annotated_mutex.h"
 #include "common/sim_clock.h"
 #include "common/status.h"
 #include "ftl/page_ftl.h"
-#include "noftl/region.h"
+#include "storage/extent_allocator.h"
 #include "storage/io_batch.h"
 
 namespace noftl::storage {
@@ -103,100 +101,25 @@ class SpaceProvider {
   }
 };
 
-/// NoFTL path: forwards to a region.
-class RegionSpace : public SpaceProvider {
- public:
-  explicit RegionSpace(region::Region* region) : region_(region) {}
-
-  uint32_t page_size() const override { return region_->page_size(); }
-  Result<uint64_t> AllocateExtent(uint64_t pages) override {
-    return region_->AllocateExtent(pages);
-  }
-  Status FreeExtent(uint64_t start, uint64_t pages) override {
-    return region_->FreeExtent(start, pages);
-  }
-  Status SubmitBatch(IoBatch* batch, SimTime issue,
-                     IoTicket* ticket) override {
-    return region_->SubmitBatch(batch, issue, ticket);
-  }
-  Status WaitBatch(IoTicket ticket, SimTime* complete) override {
-    return region_->WaitBatch(ticket, complete);
-  }
-  size_t PollCompletions(SimTime until) override {
-    return region_->PollCompletions(until);
-  }
-
-  region::Region* region() { return region_; }
-
- private:
-  region::Region* region_;
-};
-
-/// Traditional path: an extent allocator over the FTL's LBA space. The
-/// object id is discarded — an FTL cannot see it, which is the paper's
-/// point. Freed extents enter a coalescing free-span list and are reused
-/// first-fit before the high-water mark advances, so create/drop cycles
-/// recycle the LBA space instead of leaking it.
+/// Traditional path: the FTL's LBA space. The object id is discarded — an
+/// FTL cannot see it, which is the paper's point.
 class FtlSpace : public SpaceProvider {
  public:
-  explicit FtlSpace(ftl::PageMappingFtl* ftl) : ftl_(ftl) {}
+  explicit FtlSpace(ftl::PageMappingFtl* ftl)
+      : ftl_(ftl), extents_(ftl->sector_count(), "FTL LBA space") {}
 
   uint32_t page_size() const override { return ftl_->sector_size(); }
 
   Result<uint64_t> AllocateExtent(uint64_t pages) override {
-    if (pages == 0) return Status::InvalidArgument("empty extent");
-    MutexLock lock(alloc_mu_);
-    // First-fit over previously freed (trimmed) spans.
-    for (auto it = free_spans_.begin(); it != free_spans_.end(); ++it) {
-      if (it->pages >= pages) {
-        const uint64_t start = it->start;
-        it->start += pages;
-        it->pages -= pages;
-        if (it->pages == 0) free_spans_.erase(it);
-        return start;
-      }
-    }
-    if (next_lba_ + pages > ftl_->sector_count()) {
-      return Status::NoSpace("FTL LBA space exhausted");
-    }
-    const uint64_t start = next_lba_;
-    next_lba_ += pages;
-    return start;
+    return extents_.Allocate(pages);
   }
-
+  /// Trims the extent's sectors, then returns it for reuse.
   Status FreeExtent(uint64_t start, uint64_t pages) override {
-    for (uint64_t lba = start; lba < start + pages; lba++) {
-      NOFTL_RETURN_IF_ERROR(ftl_->Trim(lba));
-    }
-    MutexLock lock(alloc_mu_);
-    // Insert the span sorted by start and coalesce with its neighbours so
-    // repeated create/drop cycles can always satisfy a same-sized (or
-    // larger, after coalescing) allocation again.
-    auto it = free_spans_.begin();
-    while (it != free_spans_.end() && it->start < start) ++it;
-    it = free_spans_.insert(it, {start, pages});
-    if (it != free_spans_.begin()) {
-      auto prev = it - 1;
-      if (prev->start + prev->pages == it->start) {
-        prev->pages += it->pages;
-        it = free_spans_.erase(it);
-        --it;
-      }
-    }
-    if (it + 1 != free_spans_.end() && it->start + it->pages == (it + 1)->start) {
-      it->pages += (it + 1)->pages;
-      free_spans_.erase(it + 1);
-    }
-    return Status::OK();
+    return extents_.Free(start, pages, [this](uint64_t lba) {
+      return ftl_->mapper().Trim(lba);
+    });
   }
-
-  /// Free spans currently available for reuse (test/diagnostic hook).
-  uint64_t FreeSpanPages() const {
-    MutexLock lock(alloc_mu_);
-    uint64_t total = 0;
-    for (const Span& s : free_spans_) total += s.pages;
-    return total;
-  }
+  const ExtentAllocator& extents() const { return extents_; }
 
   Status SubmitBatch(IoBatch* batch, SimTime issue,
                      IoTicket* ticket) override {
@@ -210,20 +133,8 @@ class FtlSpace : public SpaceProvider {
   }
 
  private:
-  /// Free LBA span [start, start+pages), sorted by start, coalesced.
-  struct Span {
-    uint64_t start;
-    uint64_t pages;
-  };
-
   ftl::PageMappingFtl* ftl_;
-  /// Guards the LBA allocator (next_lba_, free_spans_); page I/O goes
-  /// straight to the FTL's mapper latch. Ranked kBackendAlloc like the
-  /// region allocator it mirrors (FreeExtent trims before locking here,
-  /// but the rank keeps the two paths interchangeable).
-  mutable Mutex alloc_mu_{LockRank::kBackendAlloc};
-  uint64_t next_lba_ GUARDED_BY(alloc_mu_) = 0;
-  std::vector<Span> free_spans_ GUARDED_BY(alloc_mu_);
+  ExtentAllocator extents_;
 };
 
 }  // namespace noftl::storage

@@ -1,6 +1,7 @@
-// Tests for the traditional-SSD baseline (PageMappingFtl): block-device
-// semantics, over-provisioning arithmetic, TRIM, and write amplification
-// behaviour under sequential vs. random overwrite (the classic FTL story).
+// Tests for the traditional-SSD baseline (PageMappingFtl, driven through
+// the FtlSpace the storage manager sees): block-device semantics,
+// over-provisioning arithmetic, TRIM, and write amplification behaviour
+// under sequential vs. random overwrite (the classic FTL story).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -8,9 +9,12 @@
 
 #include "flash/device.h"
 #include "ftl/page_ftl.h"
+#include "storage/space_provider.h"
 
 namespace noftl::ftl {
 namespace {
+
+using storage::FtlSpace;
 
 flash::FlashGeometry SmallGeometry() {
   flash::FlashGeometry geo;
@@ -47,28 +51,31 @@ TEST(PageFtlTest, SectorCountNeverExceedsGcReserveLimit) {
 TEST(PageFtlTest, WriteReadRoundTrip) {
   flash::FlashDevice device(SmallGeometry(), flash::FlashTiming{});
   PageMappingFtl ftl(&device, FtlOptions{});
+  FtlSpace space(&ftl);
   std::vector<char> data(512, 'd');
   SimTime done = 0;
-  ASSERT_TRUE(ftl.WriteSector(100, 0, data.data(), &done).ok());
+  ASSERT_TRUE(space.WritePage(100, 0, data.data(), 0, &done).ok());
   std::vector<char> buf(512, 0);
-  ASSERT_TRUE(ftl.ReadSector(100, done, buf.data(), &done).ok());
+  ASSERT_TRUE(space.ReadPage(100, done, buf.data(), &done).ok());
   EXPECT_EQ(memcmp(buf.data(), data.data(), 512), 0);
 }
 
 TEST(PageFtlTest, ReadOfUnwrittenSectorFails) {
   flash::FlashDevice device(SmallGeometry(), flash::FlashTiming{});
   PageMappingFtl ftl(&device, FtlOptions{});
+  FtlSpace space(&ftl);
   std::vector<char> buf(512);
-  EXPECT_TRUE(ftl.ReadSector(5, 0, buf.data(), nullptr).IsNotFound());
+  EXPECT_TRUE(space.ReadPage(5, 0, buf.data(), nullptr).IsNotFound());
 }
 
 TEST(PageFtlTest, TrimInvalidatesSector) {
   flash::FlashDevice device(SmallGeometry(), flash::FlashTiming{});
   PageMappingFtl ftl(&device, FtlOptions{});
+  FtlSpace space(&ftl);
   std::vector<char> data(512, 't');
-  ASSERT_TRUE(ftl.WriteSector(9, 0, data.data(), nullptr).ok());
-  ASSERT_TRUE(ftl.Trim(9).ok());
-  EXPECT_TRUE(ftl.ReadSector(9, 0, data.data(), nullptr).IsNotFound());
+  ASSERT_TRUE(space.WritePage(9, 0, data.data(), 0, nullptr).ok());
+  ASSERT_TRUE(space.TrimPage(9).ok());
+  EXPECT_TRUE(space.ReadPage(9, 0, data.data(), nullptr).IsNotFound());
 }
 
 TEST(PageFtlTest, SustainedRandomOverwriteTriggersGc) {
@@ -76,19 +83,20 @@ TEST(PageFtlTest, SustainedRandomOverwriteTriggersGc) {
   FtlOptions options;
   options.over_provisioning = 0.15;
   PageMappingFtl ftl(&device, options);
+  FtlSpace space(&ftl);
   std::vector<char> data(512, 'r');
   const uint64_t n = ftl.sector_count();
 
   // Fill the whole logical space once, then overwrite randomly 2x capacity.
   for (uint64_t lba = 0; lba < n; lba++) {
-    ASSERT_TRUE(ftl.WriteSector(lba, 0, data.data(), nullptr).ok());
+    ASSERT_TRUE(space.WritePage(lba, 0, data.data(), 0, nullptr).ok());
   }
   uint64_t x = 88172645463325252ull;
   for (uint64_t i = 0; i < 2 * n; i++) {
     x ^= x << 13;
     x ^= x >> 7;
     x ^= x << 17;
-    ASSERT_TRUE(ftl.WriteSector(x % n, 0, data.data(), nullptr).ok());
+    ASSERT_TRUE(space.WritePage(x % n, 0, data.data(), 0, nullptr).ok());
   }
   const auto& stats = device.stats();
   EXPECT_GT(stats.gc_erases(), 0u);
@@ -106,10 +114,11 @@ TEST(PageFtlTest, SequentialOverwriteHasLowerWriteAmpThanRandom) {
     FtlOptions options;
     options.over_provisioning = 0.12;
     PageMappingFtl ftl(&device, options);
+    FtlSpace space(&ftl);
     std::vector<char> data(512, 's');
     const uint64_t n = ftl.sector_count();
     for (uint64_t lba = 0; lba < n; lba++) {
-      EXPECT_TRUE(ftl.WriteSector(lba, 0, data.data(), nullptr).ok());
+      EXPECT_TRUE(space.WritePage(lba, 0, data.data(), 0, nullptr).ok());
     }
     uint64_t x = 1234567ull;
     for (uint64_t i = 0; i < 3 * n; i++) {
@@ -122,7 +131,7 @@ TEST(PageFtlTest, SequentialOverwriteHasLowerWriteAmpThanRandom) {
         x ^= x << 17;
         lba = x % n;
       }
-      EXPECT_TRUE(ftl.WriteSector(lba, 0, data.data(), nullptr).ok());
+      EXPECT_TRUE(space.WritePage(lba, 0, data.data(), 0, nullptr).ok());
     }
     return device.stats().WriteAmplification();
   };
@@ -132,12 +141,15 @@ TEST(PageFtlTest, SequentialOverwriteHasLowerWriteAmpThanRandom) {
 }
 
 TEST(PageFtlTest, ObjectIdentityIsInvisible) {
-  // Everything written through the block interface is tagged object 0 —
-  // the FTL cannot know better (the paper's criticism).
+  // Everything written through the block interface is tagged object 0,
+  // whatever owner the storage manager names — the FTL cannot know better
+  // (the paper's criticism).
   flash::FlashDevice device(SmallGeometry(), flash::FlashTiming{});
   PageMappingFtl ftl(&device, FtlOptions{});
+  FtlSpace space(&ftl);
   std::vector<char> data(512, 'o');
-  ASSERT_TRUE(ftl.WriteSector(3, 0, data.data(), nullptr).ok());
+  ASSERT_TRUE(
+      space.WritePage(3, 0, data.data(), /*object_id=*/7, nullptr).ok());
   auto addr = ftl.mapper().Lookup(3);
   ASSERT_TRUE(addr.ok());
   EXPECT_EQ(device.PeekMetadata(*addr).object_id, 0u);

@@ -7,7 +7,6 @@
 #include "buffer/buffer_pool.h"
 #include "flash/device.h"
 #include "noftl/region_manager.h"
-#include "storage/space_provider.h"
 #include "storage/tablespace.h"
 #include "txn/txn.h"
 
@@ -42,12 +41,11 @@ class NativeStack {
     ro.name = "rg_test";
     ro.max_chips = o.region_dies;
     rg = *manager->CreateRegion(ro);
-    space = std::make_unique<storage::RegionSpace>(rg);
 
     storage::TablespaceOptions tso;
     tso.name = "ts_test";
     tso.extent_pages = o.extent_pages;
-    tablespace = std::make_unique<storage::Tablespace>(1, tso, space.get());
+    tablespace = std::make_unique<storage::Tablespace>(1, tso, rg);
 
     buffer::BufferOptions bo;
     bo.frame_count = o.frames;
@@ -58,7 +56,6 @@ class NativeStack {
   std::unique_ptr<flash::FlashDevice> device;
   std::unique_ptr<region::RegionManager> manager;
   region::Region* rg = nullptr;
-  std::unique_ptr<storage::RegionSpace> space;
   std::unique_ptr<storage::Tablespace> tablespace;
   std::unique_ptr<buffer::BufferPool> pool;
   txn::TxnContext ctx;

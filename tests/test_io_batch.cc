@@ -2,12 +2,13 @@
 //
 // The batch contract (storage/io_batch.h) promises that batched and serial
 // execution are interchangeable: a one-element batch behaves exactly like
-// the legacy single-page call, a multi-element batch behaves exactly like
-// the same single-page calls issued at the batch time (identical mapper
-// state, stats and tie-break order — byte-identical pages), and a chained
-// serial caller differs only in timing, never in logical content — even
-// after crash recovery. Plus the timing claim itself: a cross-die batch
-// completes at the max over dies, same-die requests queue in order.
+// the mapper's serial single-page call (on a region and behind the FTL), a
+// multi-element batch behaves exactly like the same serial calls issued at
+// the batch time (identical mapper state, stats and tie-break order —
+// byte-identical pages), and a chained serial caller differs only in
+// timing, never in logical content — even after crash recovery. Plus the
+// timing claim itself: a cross-die batch completes at the max over dies,
+// same-die requests queue in order.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -48,6 +49,16 @@ FlashGeometry EightDieGeometry() {
   return geo;
 }
 
+/// A page space under test: the provider batches go to, and the mapper
+/// beneath it that the serial reference drives directly.
+struct Target {
+  SpaceProvider* space;
+  ftl::OutOfPlaceMapper* mapper;
+  /// Owner the serial reference writes: what the provider stamps on flash
+  /// (FtlSpace stamps object 0 whatever the request says).
+  uint32_t serial_object_id;
+};
+
 /// One device + one region over every die, self-owned (twin stacks).
 struct Stack {
   explicit Stack(const FlashGeometry& geo = EightDieGeometry())
@@ -57,10 +68,24 @@ struct Stack {
     options.max_chips = geo.total_dies();
     rg = *manager.CreateRegion(options);
   }
+  Target target() { return {rg, &rg->mapper(), 1}; }
 
   FlashDevice device;
   RegionManager manager;
   Region* rg;
+};
+
+/// The traditional-SSD twin: one FTL over every die, seen through FtlSpace.
+struct FtlStack {
+  FtlStack()
+      : device(EightDieGeometry(), FlashTiming{}),
+        ftl(&device, ftl::FtlOptions{}),
+        space(&ftl) {}
+  Target target() { return {&space, &ftl.mapper(), 0}; }
+
+  FlashDevice device;
+  ftl::PageMappingFtl ftl;
+  FtlSpace space;
 };
 
 /// Deterministic page payload for the k-th write of the schedule.
@@ -125,13 +150,14 @@ std::vector<Round> MakeWorkload(uint64_t logical_pages, bool with_trims,
 }
 
 enum class Mode {
-  kLegacyCalls,    ///< Region::ReadPage/WritePage/TrimPage per op
+  kMapperCalls,    ///< serial OutOfPlaceMapper::Read/Write/Trim per op
   kSingleBatches,  ///< one-element IoBatch per op
   kRoundBatches,   ///< one IoBatch per round
 };
 
-void RunWorkload(Stack* s, const std::vector<Round>& rounds, Mode mode) {
-  const uint32_t page_size = s->rg->page_size();
+void RunWorkload(const Target& t, const std::vector<Round>& rounds,
+                 Mode mode) {
+  const uint32_t page_size = t.space->page_size();
   std::vector<char> buf(page_size);
   std::vector<std::vector<char>> payloads;
   for (const Round& r : rounds) {
@@ -153,7 +179,7 @@ void RunWorkload(Stack* s, const std::vector<Round>& rounds, Mode mode) {
             break;
         }
       }
-      ASSERT_TRUE(s->rg->RunBatch(&batch, r.issue, nullptr).ok());
+      ASSERT_TRUE(t.space->RunBatch(&batch, r.issue, nullptr).ok());
       for (const IoRequest& req : batch.requests()) {
         if (req.op == IoOp::kWrite) {
           ASSERT_TRUE(req.status.ok());
@@ -162,25 +188,29 @@ void RunWorkload(Stack* s, const std::vector<Round>& rounds, Mode mode) {
       continue;
     }
     for (const Op& op : r.ops) {
-      if (mode == Mode::kLegacyCalls) {
+      if (mode == Mode::kMapperCalls) {
+        // The serial reference: straight to the mapper, no batch anywhere.
         switch (op.kind) {
           case IoOp::kWrite: {
             const auto data = Payload(page_size, op.lpn, op.payload_id);
-            ASSERT_TRUE(
-                s->rg->WritePage(op.lpn, r.issue, data.data(), 1, nullptr)
-                    .ok());
+            ASSERT_TRUE(t.mapper
+                            ->Write(op.lpn, r.issue, flash::OpOrigin::kHost,
+                                    data.data(), t.serial_object_id, nullptr)
+                            .ok());
             break;
           }
           case IoOp::kRead:
-            (void)s->rg->ReadPage(op.lpn, r.issue, buf.data(), nullptr);
+            (void)t.mapper->Read(op.lpn, r.issue, flash::OpOrigin::kHost,
+                                 buf.data(), nullptr);
             break;
           case IoOp::kTrim:
-            ASSERT_TRUE(s->rg->TrimPage(op.lpn).ok());
+            ASSERT_TRUE(t.mapper->Trim(op.lpn).ok());
             break;
         }
         continue;
       }
-      // kSingleBatches: the exact wrappers the redesigned SpaceProvider uses.
+      // kSingleBatches: the exact one-element batches SpaceProvider's
+      // blocking helpers submit.
       IoBatch batch;
       std::vector<char> data;
       switch (op.kind) {
@@ -195,7 +225,7 @@ void RunWorkload(Stack* s, const std::vector<Round>& rounds, Mode mode) {
           batch.AddTrim(op.lpn);
           break;
       }
-      ASSERT_TRUE(s->rg->RunBatch(&batch, r.issue, nullptr).ok());
+      ASSERT_TRUE(t.space->RunBatch(&batch, r.issue, nullptr).ok());
       if (op.kind == IoOp::kWrite) {
         ASSERT_TRUE(batch[0].status.ok());
       }
@@ -203,9 +233,8 @@ void RunWorkload(Stack* s, const std::vector<Round>& rounds, Mode mode) {
   }
 }
 
-void ExpectIdenticalMapperState(Region* a, Region* b) {
-  const ftl::OutOfPlaceMapper& ma = a->mapper();
-  const ftl::OutOfPlaceMapper& mb = b->mapper();
+void ExpectIdenticalMapperState(const ftl::OutOfPlaceMapper& ma,
+                                const ftl::OutOfPlaceMapper& mb) {
   ASSERT_EQ(ma.logical_pages(), mb.logical_pages());
   // Stats: identical op counts *and* identical GC/victim work proves the two
   // executions took the same decisions in the same order.
@@ -234,15 +263,16 @@ void ExpectIdenticalMapperState(Region* a, Region* b) {
   EXPECT_TRUE(mb.VerifyIntegrity().ok());
 }
 
-void ExpectIdenticalContent(Region* a, Region* b, SimTime at) {
-  ASSERT_EQ(a->logical_pages(), b->logical_pages());
-  std::vector<char> ba(a->page_size());
-  std::vector<char> bb(b->page_size());
-  for (uint64_t lpn = 0; lpn < a->logical_pages(); lpn++) {
-    ASSERT_EQ(a->IsMapped(lpn), b->IsMapped(lpn)) << "lpn " << lpn;
-    if (!a->IsMapped(lpn)) continue;
-    ASSERT_TRUE(a->ReadPage(lpn, at, ba.data(), nullptr).ok());
-    ASSERT_TRUE(b->ReadPage(lpn, at, bb.data(), nullptr).ok());
+void ExpectIdenticalContent(const Target& a, const Target& b, SimTime at) {
+  ASSERT_EQ(a.mapper->logical_pages(), b.mapper->logical_pages());
+  std::vector<char> ba(a.space->page_size());
+  std::vector<char> bb(b.space->page_size());
+  for (uint64_t lpn = 0; lpn < a.mapper->logical_pages(); lpn++) {
+    ASSERT_EQ(a.mapper->IsMapped(lpn), b.mapper->IsMapped(lpn))
+        << "lpn " << lpn;
+    if (!a.mapper->IsMapped(lpn)) continue;
+    ASSERT_TRUE(a.space->ReadPage(lpn, at, ba.data(), nullptr).ok());
+    ASSERT_TRUE(b.space->ReadPage(lpn, at, bb.data(), nullptr).ok());
     ASSERT_EQ(memcmp(ba.data(), bb.data(), ba.size()), 0)
         << "content of lpn " << lpn;
   }
@@ -253,10 +283,25 @@ TEST(IoBatchEquivalence, OneElementBatchesMatchLegacyCalls) {
   Stack batched;
   const auto rounds = MakeWorkload(legacy.rg->logical_pages(),
                                    /*with_trims=*/true, /*seed=*/11);
-  RunWorkload(&legacy, rounds, Mode::kLegacyCalls);
-  RunWorkload(&batched, rounds, Mode::kSingleBatches);
-  ExpectIdenticalMapperState(legacy.rg, batched.rg);
-  ExpectIdenticalContent(legacy.rg, batched.rg, /*at=*/1u << 30);
+  RunWorkload(legacy.target(), rounds, Mode::kMapperCalls);
+  RunWorkload(batched.target(), rounds, Mode::kSingleBatches);
+  ExpectIdenticalMapperState(legacy.rg->mapper(), batched.rg->mapper());
+  ExpectIdenticalContent(legacy.target(), batched.target(), /*at=*/1u << 30);
+}
+
+TEST(IoBatchEquivalence, FtlOneElementBatchesMatchMapperCalls) {
+  FtlStack serial;
+  FtlStack batched;
+  const auto rounds = MakeWorkload(serial.ftl.sector_count(),
+                                   /*with_trims=*/true, /*seed=*/11);
+  RunWorkload(serial.target(), rounds, Mode::kMapperCalls);
+  RunWorkload(batched.target(), rounds, Mode::kSingleBatches);
+  ExpectIdenticalMapperState(serial.ftl.mapper(), batched.ftl.mapper());
+  ExpectIdenticalContent(serial.target(), batched.target(), /*at=*/1u << 30);
+  // The batches named object 1; below the block interface it is object 0.
+  auto addr = batched.ftl.mapper().Lookup(0);
+  ASSERT_TRUE(addr.ok());
+  EXPECT_EQ(batched.device.PeekMetadata(*addr).object_id, 0u);
 }
 
 TEST(IoBatchEquivalence, MultiElementBatchesMatchSerialAtSameIssue) {
@@ -264,10 +309,10 @@ TEST(IoBatchEquivalence, MultiElementBatchesMatchSerialAtSameIssue) {
   Stack batched;
   const auto rounds = MakeWorkload(serial.rg->logical_pages(),
                                    /*with_trims=*/true, /*seed=*/23);
-  RunWorkload(&serial, rounds, Mode::kLegacyCalls);
-  RunWorkload(&batched, rounds, Mode::kRoundBatches);
-  ExpectIdenticalMapperState(serial.rg, batched.rg);
-  ExpectIdenticalContent(serial.rg, batched.rg, /*at=*/1u << 30);
+  RunWorkload(serial.target(), rounds, Mode::kMapperCalls);
+  RunWorkload(batched.target(), rounds, Mode::kRoundBatches);
+  ExpectIdenticalMapperState(serial.rg->mapper(), batched.rg->mapper());
+  ExpectIdenticalContent(serial.target(), batched.target(), /*at=*/1u << 30);
 }
 
 TEST(IoBatchEquivalence, ChainedSerialAndBatchedAgreeLogicallyAndAfterRecovery) {
@@ -323,7 +368,7 @@ TEST(IoBatchEquivalence, ChainedSerialAndBatchedAgreeLogicallyAndAfterRecovery) 
     }
   }
 
-  ExpectIdenticalContent(serial.rg, batched.rg, /*at=*/1u << 30);
+  ExpectIdenticalContent(serial.target(), batched.target(), /*at=*/1u << 30);
 
   // Crash both and recover from flash: same logical state either way.
   const auto& geo = serial.device.geometry();
@@ -440,8 +485,8 @@ TEST(IoBatchAtomic, AtomicBatchMatchesWriteAtomic) {
   batch.set_atomic(true);
   ASSERT_TRUE(b.rg->RunBatch(&batch, /*issue=*/0, nullptr).ok());
 
-  ExpectIdenticalMapperState(a.rg, b.rg);
-  ExpectIdenticalContent(a.rg, b.rg, /*at=*/1u << 20);
+  ExpectIdenticalMapperState(a.rg->mapper(), b.rg->mapper());
+  ExpectIdenticalContent(a.target(), b.target(), /*at=*/1u << 20);
   EXPECT_EQ(b.rg->mapper().committed_batches(), 1u);
 }
 

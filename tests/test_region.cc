@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "flash/device.h"
@@ -137,7 +139,7 @@ TEST_F(RegionTest, ExtentAllocationFirstFitAndCoalescing) {
   EXPECT_EQ(*e1, 0u);
   EXPECT_EQ(*e2, 32u);
   EXPECT_EQ(*e3, 64u);
-  EXPECT_EQ(rg->UnallocatedPages(), 160u - 96u);
+  EXPECT_EQ(rg->extents().FreePages(), 160u - 96u);
 
   // Free the middle extent, then the first; they must coalesce so a 64-page
   // extent fits at offset 0 again.
@@ -191,58 +193,69 @@ TEST_F(RegionTest, LookupByNameAndId) {
 }
 
 TEST(GlobalWearLevelingTest, SwapsDiesBetweenHotAndColdRegions) {
-  flash::FlashGeometry geo = TestGeometry();
-  flash::FlashDevice device(geo, flash::FlashTiming{});
-  GlobalWlOptions wl;
-  wl.spread_threshold = 5.0;
-  RegionManager manager(&device, wl);
+  // Two-die regions, and the one-die regions of the Figure 2 placement
+  // (rg_meta, rg_item): a one-die region cannot drain its die first, so it
+  // takes the incoming die, then drains. Both directions are covered.
+  for (const auto& [hot_chips, cold_chips] :
+       std::vector<std::pair<uint32_t, uint32_t>>{{2, 2}, {2, 1}, {1, 2}}) {
+    SCOPED_TRACE("hot " + std::to_string(hot_chips) + " dies, cold " +
+                 std::to_string(cold_chips));
+    flash::FlashGeometry geo = TestGeometry();
+    flash::FlashDevice device(geo, flash::FlashTiming{});
+    GlobalWlOptions wl;
+    wl.spread_threshold = 5.0;
+    RegionManager manager(&device, wl);
+    RegionOptions hot_options;
+    hot_options.name = "hot";
+    hot_options.max_chips = hot_chips;
+    RegionOptions cold_options;
+    cold_options.name = "cold";
+    cold_options.max_chips = cold_chips;
+    Region* hot = *manager.CreateRegion(hot_options);
+    Region* cold = *manager.CreateRegion(cold_options);
 
-  RegionOptions hot_options;
-  hot_options.name = "hot";
-  hot_options.max_chips = 2;
-  RegionOptions cold_options;
-  cold_options.name = "cold";
-  cold_options.max_chips = 2;
-  Region* hot = *manager.CreateRegion(hot_options);
-  Region* cold = *manager.CreateRegion(cold_options);
-
-  // Cold region: a little static data. Hot region: heavy churn.
-  std::vector<char> data(geo.page_size, 'w');
-  for (uint64_t p = 0; p < 20; p++) {
-    ASSERT_TRUE(cold->WritePage(p, 0, data.data(), 1, nullptr).ok());
-  }
-  for (int round = 0; round < 300; round++) {
-    for (uint64_t p = 0; p < 40; p++) {
-      ASSERT_TRUE(hot->WritePage(p, 0, data.data(), 2, nullptr).ok());
+    // Cold region: a little static data. Hot region: heavy churn.
+    std::vector<char> data(geo.page_size, 'w');
+    for (uint64_t p = 0; p < 20; p++) {
+      ASSERT_TRUE(cold->WritePage(p, 0, data.data(), 1, nullptr).ok());
     }
-  }
-  ASSERT_GT(manager.WearSpread(), wl.spread_threshold);
-  const auto hot_dies_before = hot->dies();
+    for (int round = 0; round < 300; round++) {
+      for (uint64_t p = 0; p < 40; p++) {
+        ASSERT_TRUE(hot->WritePage(p, 0, data.data(), 2, nullptr).ok());
+      }
+    }
+    ASSERT_GT(manager.WearSpread(), wl.spread_threshold);
+    const auto hot_before = hot->dies();
+    const auto cold_before = cold->dies();
 
-  bool swapped = false;
-  ASSERT_TRUE(manager.RebalanceWear(0, &swapped).ok());
-  EXPECT_TRUE(swapped);
-  EXPECT_NE(hot->dies(), hot_dies_before);
-  EXPECT_EQ(hot->dies().size(), 2u);
-  EXPECT_EQ(cold->dies().size(), 2u);
+    bool swapped = false;
+    ASSERT_TRUE(manager.RebalanceWear(0, &swapped).ok());
+    ASSERT_TRUE(swapped);
+    EXPECT_NE(hot->dies(), hot_before);
+    EXPECT_NE(cold->dies(), cold_before);
+    EXPECT_EQ(hot->dies().size(), hot_chips);
+    EXPECT_EQ(cold->dies().size(), cold_chips);
+    // The two regions traded dies and share none.
+    std::set<flash::DieId> before(hot_before.begin(), hot_before.end());
+    before.insert(cold_before.begin(), cold_before.end());
+    std::set<flash::DieId> after;
+    for (auto d : hot->dies()) after.insert(d);
+    for (auto d : cold->dies()) after.insert(d);
+    EXPECT_EQ(after, before);
+    EXPECT_EQ(after.size(), hot_chips + cold_chips);
 
-  // Disjointness preserved.
-  std::set<flash::DieId> all;
-  for (auto d : hot->dies()) all.insert(d);
-  for (auto d : cold->dies()) all.insert(d);
-  EXPECT_EQ(all.size(), 4u);
-
-  // Data survives in both regions.
-  std::vector<char> buf(geo.page_size);
-  for (uint64_t p = 0; p < 20; p++) {
-    ASSERT_TRUE(cold->ReadPage(p, 0, buf.data(), nullptr).ok());
-    EXPECT_EQ(buf, data);
+    std::vector<char> buf(geo.page_size);
+    for (uint64_t p = 0; p < 20; p++) {
+      ASSERT_TRUE(cold->ReadPage(p, 0, buf.data(), nullptr).ok());
+      EXPECT_EQ(buf, data);
+    }
+    for (uint64_t p = 0; p < 40; p++) {
+      ASSERT_TRUE(hot->ReadPage(p, 0, buf.data(), nullptr).ok());
+      EXPECT_EQ(buf, data);
+    }
+    EXPECT_TRUE(hot->VerifyIntegrity().ok());
+    EXPECT_TRUE(cold->VerifyIntegrity().ok());
   }
-  for (uint64_t p = 0; p < 40; p++) {
-    ASSERT_TRUE(hot->ReadPage(p, 0, buf.data(), nullptr).ok());
-  }
-  EXPECT_TRUE(hot->mapper().VerifyIntegrity().ok());
-  EXPECT_TRUE(cold->mapper().VerifyIntegrity().ok());
 }
 
 TEST(GlobalWearLevelingTest, NoSwapWhenBalanced) {

@@ -54,13 +54,11 @@ struct ShardStack {
     ro.max_chips = geo.total_dies();
     ro.mapper = mapper;
     rg = *manager->CreateRegion(ro);
-    space = std::make_unique<storage::RegionSpace>(rg);
   }
 
   std::unique_ptr<FlashDevice> device;
   std::unique_ptr<region::RegionManager> manager;
   region::Region* rg = nullptr;
-  std::unique_ptr<storage::RegionSpace> space;
 };
 
 /// N independent shard stacks behind one ShardedSpace.
@@ -71,7 +69,7 @@ struct ShardedStack {
     std::vector<storage::SpaceProvider*> providers;
     for (size_t s = 0; s < n; s++) {
       shards.push_back(std::make_unique<ShardStack>(geo, mapper));
-      providers.push_back(shards.back()->space.get());
+      providers.push_back(shards.back()->rg);
     }
     space = std::make_unique<ShardedSpace>(providers, placement);
   }
@@ -112,7 +110,7 @@ TEST(ShardEquivalenceTest, OneShardIsByteIdenticalToUnshardedStack) {
   ShardStack plain(geo);
   ShardedStack sharded(1, ShardPlacement::kStripe, geo);
 
-  storage::SpaceProvider* a = plain.space.get();
+  storage::SpaceProvider* a = plain.rg;
   storage::SpaceProvider* b = sharded.space.get();
 
   // Identical schedule on both providers: extent allocations, clock-chained

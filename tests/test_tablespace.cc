@@ -1,7 +1,10 @@
 // Tablespace tests: extent growth, page allocation/free, object
-// attribution, provider resolution, and the FTL-backed variant.
+// attribution, provider resolution, the FTL-backed variant, and the extent
+// allocator both page spaces (region and FtlSpace) share.
 #include <gtest/gtest.h>
 
+#include "storage/extent_allocator.h"
+#include "storage/space_provider.h"
 #include "storage/tablespace.h"
 #include "test_harness.h"
 
@@ -26,7 +29,7 @@ TEST_F(TablespaceTest, AllocatesPagesAcrossExtents) {
   }
   EXPECT_EQ(ts->page_count(), 20u);
   // Region-side extents: 3 x 8 pages drawn.
-  EXPECT_EQ(stack_.rg->UnallocatedPages(),
+  EXPECT_EQ(stack_.rg->extents().FreePages(),
             stack_.rg->logical_pages() - 24);
 }
 
@@ -146,6 +149,72 @@ TEST(FtlTablespaceTest, WorksOverBlockDevice) {
   auto addr = ftl.mapper().Lookup(0);
   ASSERT_TRUE(addr.ok());
   EXPECT_EQ(device.PeekMetadata(*addr).object_id, 0u);
+}
+
+/// The extent-allocation contract of a page space of `capacity` pages that
+/// starts empty: first-fit reuse of freed extents, coalescing with both
+/// neighbours and with the unallocated tail, and out-of-range frees refused.
+void ExpectExtentAllocatorContract(SpaceProvider* space,
+                                   const ExtentAllocator& extents,
+                                   uint64_t capacity) {
+  ASSERT_GT(capacity, 64u);
+  ASSERT_EQ(extents.FreePages(), capacity);
+  // Five 8-page extents, packed from the front: 0, 8, 16, 24, 32.
+  for (uint64_t i = 0; i < 5; i++) {
+    auto e = space->AllocateExtent(8);
+    ASSERT_TRUE(e.ok()) << e.status().ToString();
+    EXPECT_EQ(*e, 8 * i);
+  }
+  EXPECT_EQ(extents.FreePages(), capacity - 40);
+
+  // First fit: a freed extent is reused before the tail at 40.
+  ASSERT_TRUE(space->FreeExtent(8, 8).ok());
+  auto reused = space->AllocateExtent(8);
+  ASSERT_TRUE(reused.ok());
+  EXPECT_EQ(*reused, 8u);
+
+  // Free [8,16) and [24,32), then [16,24) between them: the three merge
+  // into one 24-page hole, which a 24-page extent fits ahead of the tail.
+  ASSERT_TRUE(space->FreeExtent(8, 8).ok());
+  ASSERT_TRUE(space->FreeExtent(24, 8).ok());
+  ASSERT_TRUE(space->FreeExtent(16, 8).ok());
+  EXPECT_EQ(extents.FreePages(), capacity - 16);
+  auto merged = space->AllocateExtent(24);
+  ASSERT_TRUE(merged.ok());
+  EXPECT_EQ(*merged, 8u);
+
+  // Freeing the last extent merges it into the unallocated tail: the rest
+  // of the space is then one extent starting at 32.
+  ASSERT_TRUE(space->FreeExtent(32, 8).ok());
+  auto rest = space->AllocateExtent(capacity - 32);
+  ASSERT_TRUE(rest.ok()) << rest.status().ToString();
+  EXPECT_EQ(*rest, 32u);
+  EXPECT_EQ(extents.FreePages(), 0u);
+  EXPECT_TRUE(space->AllocateExtent(1).status().IsNoSpace());
+
+  // A range reaching past the end is refused and frees nothing.
+  EXPECT_TRUE(space->FreeExtent(capacity - 4, 8).IsOutOfRange());
+  EXPECT_TRUE(space->FreeExtent(capacity, 1).IsOutOfRange());
+  EXPECT_EQ(extents.FreePages(), 0u);
+
+  // Everything back: one span again.
+  ASSERT_TRUE(space->FreeExtent(32, capacity - 32).ok());
+  ASSERT_TRUE(space->FreeExtent(8, 24).ok());
+  ASSERT_TRUE(space->FreeExtent(0, 8).ok());
+  auto all = space->AllocateExtent(capacity);
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(*all, 0u);
+}
+
+TEST(ExtentAllocatorTest, RegionAndFtlSpaceShareOneContract) {
+  NativeStack native;
+  ExpectExtentAllocatorContract(native.rg, native.rg->extents(),
+                                native.rg->logical_pages());
+
+  flash::FlashDevice device(native.device->geometry(), flash::FlashTiming{});
+  ftl::PageMappingFtl ftl(&device, ftl::FtlOptions{});
+  FtlSpace space(&ftl);
+  ExpectExtentAllocatorContract(&space, space.extents(), ftl.sector_count());
 }
 
 }  // namespace

@@ -48,7 +48,7 @@ FlashGeometry SmallGeo(uint32_t blocks_per_die = 64) {
   return geo;
 }
 
-/// One full native stack (device -> region -> mapper) behind a RegionSpace.
+/// One full native stack (device -> region -> mapper).
 struct ShardStack {
   explicit ShardStack(const FlashGeometry& geo) {
     device = std::make_unique<FlashDevice>(geo, FlashTiming{});
@@ -57,13 +57,11 @@ struct ShardStack {
     ro.name = "rg";
     ro.max_chips = geo.total_dies();
     rg = *manager->CreateRegion(ro);
-    space = std::make_unique<storage::RegionSpace>(rg);
   }
 
   std::unique_ptr<FlashDevice> device;
   std::unique_ptr<region::RegionManager> manager;
   region::Region* rg = nullptr;
-  std::unique_ptr<storage::RegionSpace> space;
 };
 
 /// N independent shard stacks behind one ShardedSpace.
@@ -73,7 +71,7 @@ struct ShardedStack {
     std::vector<storage::SpaceProvider*> providers;
     for (size_t s = 0; s < n; s++) {
       shards.push_back(std::make_unique<ShardStack>(geo));
-      providers.push_back(shards.back()->space.get());
+      providers.push_back(shards.back()->rg);
     }
     space = std::make_unique<ShardedSpace>(providers, placement);
   }
@@ -107,7 +105,7 @@ TEST(ThreadsMapperTest, ConcurrentWritersOverOneRegionStack) {
   // Pre-allocate one extent per thread; each thread owns its lpns outright.
   std::vector<uint64_t> base(kThreads);
   for (int t = 0; t < kThreads; t++) {
-    auto b = stack.space->AllocateExtent(kExtentPages);
+    auto b = stack.rg->AllocateExtent(kExtentPages);
     ASSERT_TRUE(b.ok()) << b.status().ToString();
     base[t] = *b;
   }
@@ -128,7 +126,7 @@ TEST(ThreadsMapperTest, ConcurrentWritersOverOneRegionStack) {
           writes.AddWrite(base[t] + p, bufs[p].data(), 1);
         }
         SimTime done = now;
-        if (!stack.space->RunBatch(&writes, now, &done).ok() ||
+        if (!stack.rg->RunBatch(&writes, now, &done).ok() ||
             !writes.FirstError().ok()) {
           failures++;
           return;
@@ -137,7 +135,7 @@ TEST(ThreadsMapperTest, ConcurrentWritersOverOneRegionStack) {
         // Read a few pages back and verify this round's pattern.
         for (uint64_t p = 0; p < kExtentPages; p += 7) {
           const uint64_t tag = t * 1000003ull + round * kExtentPages + p;
-          if (!stack.space->ReadPage(base[t] + p, now, read_buf.data(), &now)
+          if (!stack.rg->ReadPage(base[t] + p, now, read_buf.data(), &now)
                    .ok() ||
               !MatchesPattern(tag, read_buf.data())) {
             failures++;
@@ -157,7 +155,7 @@ TEST(ThreadsMapperTest, ConcurrentWritersOverOneRegionStack) {
   for (int t = 0; t < kThreads; t++) {
     for (uint64_t p = 0; p < kExtentPages; p++) {
       const uint64_t tag = t * 1000003ull + (kRounds - 1) * kExtentPages + p;
-      ASSERT_TRUE(stack.space->ReadPage(base[t] + p, now, buf.data(), &now)
+      ASSERT_TRUE(stack.rg->ReadPage(base[t] + p, now, buf.data(), &now)
                       .ok());
       EXPECT_TRUE(MatchesPattern(tag, buf.data()))
           << "thread " << t << " page " << p;
