@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <thread>
 
 namespace noftl::buffer {
 
@@ -18,8 +19,9 @@ Status PageIo::SubmitReads(PageReadReq* reqs, size_t count, SimTime issue,
   SimTime done = issue;
   for (size_t i = 0; i < count; i++) {
     SimTime page_done = issue;
-    reqs[i].status = ReadPageRaw(reqs[i].page_no, issue, reqs[i].buf,
-                                 &page_done, reqs[i].read_seq);
+    reqs[i].status =
+        ReadPageRaw(reqs[i].page_no, issue, reqs[i].buf, &page_done,
+                    reqs[i].read_seq, &reqs[i].version, &reqs[i].live);
     if (reqs[i].status.ok()) {
       reqs[i].complete = page_done;
       done = std::max(done, page_done);
@@ -37,7 +39,7 @@ Status PageIo::SubmitWrites(PageWriteReq* reqs, size_t count, SimTime issue,
   for (size_t i = 0; i < count; i++) {
     SimTime page_done = issue;
     reqs[i].status = WritePageRaw(reqs[i].page_no, issue, reqs[i].data,
-                                  &page_done);
+                                  &page_done, &reqs[i].version);
     if (reqs[i].status.ok()) {
       reqs[i].complete = page_done;
       done = std::max(done, page_done);
@@ -196,6 +198,7 @@ Status BufferPool::WriteFrameBatch(const std::vector<uint32_t>& frame_ids,
          j++) {
       Frame& f = frames_[frame_ids[j]];
       run.reqs.push_back({f.key.page_no, f.data.get(), Status(), 0});
+      assert(f.key.version_class == 0);
       run.frames.push_back(frame_ids[j]);
     }
     i = j;
@@ -239,6 +242,7 @@ Status BufferPool::WriteFrameBatch(const std::vector<uint32_t>& frame_ids,
       if (rs.ok()) {
         assert(f.dirty);
         f.dirty = false;
+        f.version = run.reqs[k].version;
         assert(dirty_count_ > 0);
         dirty_count_--;
         if (flushed != nullptr) (*flushed)++;
@@ -323,13 +327,16 @@ Result<uint32_t> BufferPool::Evict(txn::TxnContext* ctx,
   f.io_busy = true;
   lock.unlock();
   SimTime complete = 0;
-  Status ws = ts->WritePageRaw(f.key.page_no, issue, f.data.get(), &complete);
+  uint64_t version = mvcc::kNoVersion;
+  Status ws = ts->WritePageRaw(f.key.page_no, issue, f.data.get(), &complete,
+                               &version);
   lock.lock();
   f.io_busy = false;
   cv_.notify_all();
   if (!ws.ok()) return ws;  // frame stays dirty and mapped; nothing lost
   assert(f.dirty);
   f.dirty = false;
+  f.version = version;
   assert(dirty_count_ > 0);
   dirty_count_--;
   const SimTime wait = complete > ctx->now ? complete - ctx->now : 0;
@@ -343,38 +350,117 @@ Result<uint32_t> BufferPool::Evict(txn::TxnContext* ctx,
   return dirty_candidate;
 }
 
-Result<PageHandle> BufferPool::FixPage(txn::TxnContext* ctx,
-                                       const PageKey& key_in, bool create) {
-  // Snapshot reads fix the page under its snapshot's version class: a
-  // separate frame, resolved through the mapper's retained version chains,
-  // never dirtied, never aliasing the latest copy. `create` fixes are
-  // writer-side and stay on the latest class.
-  PageKey key = key_in;
-  uint64_t read_seq = 0;
-  if (!create && ctx->snapshot_seq != 0 && key.version_class == 0) {
-    key.version_class = ctx->snapshot_seq;
-    read_seq = ctx->snapshot_seq;
+bool BufferPool::PinForSnapshot(Frame& f, uint64_t snap) {
+  if (f.version > snap) return false;
+  // Dekker with AnnounceWrite: publish the snapshot pin, then look for a
+  // writer. Either this load sees the writer's announcement, or the
+  // writer's load sees this pin and waits for the Unfix. A writer that
+  // already finished left the frame dirty before retracting its
+  // announcement, so the dirty load sees it.
+  f.snapshot_pins.fetch_add(1, std::memory_order_seq_cst);
+  if (!f.ServesSnapshot(snap)) {
+    f.snapshot_pins.fetch_sub(1, std::memory_order_seq_cst);
+    return false;
   }
+  f.pins.fetch_add(1);
+  return true;
+}
+
+uint32_t BufferPool::ProbeAndPin(const PageKey& key, uint64_t snap,
+                                 bool quiet, PageHandle::Hold* hold,
+                                 uint32_t* in_flight) {
+  *in_flight = FrameTable::kNoFrame;
+  uint32_t frame = quiet ? MapFindQuiet(key) : MapFind(key);
+  if (frame != FrameTable::kNoFrame) {
+    Frame& f = frames_[frame];
+    if (f.pending_fetch != 0 || f.io_busy) {
+      *in_flight = frame;
+      return FrameTable::kNoFrame;
+    }
+    if (snap == 0) {
+      f.pins.fetch_add(1);
+      *hold = PageHandle::Hold::kPlain;
+      return frame;
+    }
+    if (PinForSnapshot(f, snap)) {
+      *hold = PageHandle::Hold::kSnapshot;
+      return frame;
+    }
+  }
+  if (snap == 0) return FrameTable::kNoFrame;
+  PageKey vkey = key;
+  vkey.version_class = snap;
+  frame = quiet ? MapFindQuiet(vkey) : MapFind(vkey);
+  if (frame == FrameTable::kNoFrame) return FrameTable::kNoFrame;
+  Frame& f = frames_[frame];
+  if (f.pending_fetch != 0 || f.io_busy) {
+    *in_flight = frame;
+    return FrameTable::kNoFrame;
+  }
+  f.pins.fetch_add(1);
+  *hold = PageHandle::Hold::kPlain;
+  return frame;
+}
+
+bool BufferPool::MoveToVersionClass(uint32_t frame, uint64_t snap) {
+  Frame& f = frames_[frame];
+  assert(f.key.version_class == 0 && !f.dirty);
+  MapErase(f.key);
+  f.snapshot_pins = 0;
+  f.key.version_class = snap;
+  if (MapFindQuiet(f.key) != FrameTable::kNoFrame) {
+    f.pins = 0;
+    f.in_use = false;
+    return false;
+  }
+  MapInsert(f.key, frame);
+  return true;
+}
+
+Result<PageHandle> BufferPool::FixPage(txn::TxnContext* ctx,
+                                       const PageKey& key, bool create) {
+  // A snapshot read (never a `create`, which is writer-side) is served by
+  // the latest-class frame when that frame holds what the snapshot sees,
+  // else by the snapshot's version class (ProbeAndPin).
+  const uint64_t snap =
+      !create && key.version_class == 0 ? ctx->snapshot_seq : 0;
+  PageHandle::Hold hold = PageHandle::Hold::kPlain;
+  uint32_t in_flight = FrameTable::kNoFrame;
   // Fast path: the hit rides a shared hold — concurrent with other hits.
   {
     ReaderLock shared(latch_);
     if (stats_.first_write_error.ok()) {
       for (;;) {
-        const uint32_t frame = MapFind(key);
-        if (frame == FrameTable::kNoFrame) break;  // miss: exclusive path
-        Frame& f = frames_[frame];
-        if (f.pending_fetch != 0) break;  // reap needs the exclusive path
-        if (f.io_busy) {
-          // The frame's data is mid-transfer on another thread; wait it out
-          // and re-probe (it may have been evicted meanwhile).
-          cv_.wait(shared);
-          continue;
+        uint32_t frame = FrameTable::kNoFrame;
+        if (snap == 0) {
+          // A latest fix probes inline: this is the pool's hottest path.
+          in_flight = FrameTable::kNoFrame;
+          const uint32_t probe = MapFind(key);
+          if (probe != FrameTable::kNoFrame) {
+            Frame& f = frames_[probe];
+            if (f.pending_fetch != 0 || f.io_busy) {
+              in_flight = probe;
+            } else {
+              f.pins.fetch_add(1);
+              frame = probe;
+            }
+          }
+        } else {
+          frame = ProbeAndPin(key, snap, /*quiet=*/false, &hold, &in_flight);
         }
-        f.pins.fetch_add(1);
-        f.referenced = true;
-        stats_.hits++;
-        ctx->buffer_hits++;
-        return PageHandle{f.data.get(), frame};
+        if (frame != FrameTable::kNoFrame) {
+          Frame& f = frames_[frame];
+          f.referenced = true;
+          stats_.hits++;
+          ctx->buffer_hits++;
+          return PageHandle{f.data.get(), frame, hold};
+        }
+        if (in_flight == FrameTable::kNoFrame) break;  // miss: exclusive path
+        // A fetch claim needs the exclusive path to reap it. Any other
+        // in-flight frame's data is mid-transfer on another thread; wait it
+        // out and re-probe (it may have been evicted meanwhile).
+        if (frames_[in_flight].pending_fetch != 0) break;
+        cv_.wait(shared);
       }
     }
   }
@@ -390,93 +476,123 @@ Result<PageHandle> BufferPool::FixPage(txn::TxnContext* ctx,
   }
   // The shared probe above already counted this lookup; re-probe silently.
   bool count_probe = false;
-  uint32_t frame = FrameTable::kNoFrame;
   for (;;) {
-    frame = count_probe ? MapFind(key) : MapFindQuiet(key);
+    const uint32_t frame =
+        ProbeAndPin(key, snap, /*quiet=*/!count_probe, &hold, &in_flight);
     count_probe = false;
-    if (frame == FrameTable::kNoFrame) break;  // miss
-    Frame& f = frames_[frame];
-    if (f.pending_fetch != 0) {
-      // The page is a claimed target of an in-flight prefetch: reap that
-      // fetch first (this is where submit-early/reap-late callers pay the
-      // remaining I/O wait), then re-probe — a failed read hands the frame
-      // back. The re-probe is counted, matching the serial pool.
-      (void)WaitFetchInternal(ctx, f.pending_fetch, lock);
-      count_probe = true;
+    if (frame != FrameTable::kNoFrame) {
+      Frame& f = frames_[frame];
+      f.referenced = true;
+      stats_.hits++;
+      ctx->buffer_hits++;
+      return PageHandle{f.data.get(), frame, hold};
+    }
+    if (in_flight != FrameTable::kNoFrame) {
+      Frame& f = frames_[in_flight];
+      if (f.pending_fetch != 0) {
+        // The page is a claimed target of an in-flight prefetch: reap that
+        // fetch first (this is where submit-early/reap-late callers pay the
+        // remaining I/O wait), then re-probe — a failed read hands the
+        // frame back. The re-probe is counted, matching the serial pool.
+        (void)WaitFetchInternal(ctx, f.pending_fetch, lock);
+        count_probe = true;
+      } else {
+        cv_.wait(lock);
+      }
       continue;
     }
-    if (f.io_busy) {
-      cv_.wait(lock);
-      continue;
-    }
-    f.pins.fetch_add(1);
-    f.referenced = true;
-    stats_.hits++;
-    ctx->buffer_hits++;
-    return PageHandle{f.data.get(), frame};
-  }
 
-  stats_.misses++;
-  auto frame_idx = Evict(ctx, lock);
-  if (!frame_idx.ok()) return frame_idx.status();
-  Frame& f = frames_[*frame_idx];
-
-  if (create) {
-    memset(f.data.get(), 0, page_size_);
-    f.key = key;
-    f.pins = 1;
-    f.dirty = false;
-    f.referenced = true;
-    f.in_use = true;
-    MapInsert(key, *frame_idx);
-  } else {
-    auto ts_it = tablespaces_.find(key.tablespace_id);
-    if (ts_it == tablespaces_.end()) {
-      return Status::InvalidArgument("tablespace not registered with pool");
+    // A snapshot miss on a page with no latest-class frame reads into the
+    // latest class (and moves below if the copy is superseded); one whose
+    // latest-class frame cannot serve it reads into its version class.
+    PageKey claim = key;
+    if (snap != 0 && MapFindQuiet(key) != FrameTable::kNoFrame) {
+      claim.version_class = snap;
     }
-    // Claim the frame (mapped + pinned + fenced) before dropping the latch
-    // for the read, so concurrent fixes of the same page wait instead of
-    // double-reading.
-    f.key = key;
-    f.pins = 1;
-    f.dirty = false;
-    f.referenced = true;
-    f.in_use = true;
-    f.io_busy = true;
-    MapInsert(key, *frame_idx);
-    const SimTime issue = ctx->now;
-    lock.unlock();
-    SimTime complete = 0;
-    Status s = ts_it->second->ReadPageRaw(key.page_no, issue, f.data.get(),
-                                          &complete, read_seq);
-    lock.lock();
-    f.io_busy = false;
-    cv_.notify_all();
-    bool zero_filled = false;
-    if (s.IsNotFound() && read_seq != 0) {
-      // No version visible at the snapshot: the page was empty when the
-      // snapshot was taken. A zeroed frame is exactly that state; no flash
-      // read happened, so nothing is accounted.
+    stats_.misses++;
+    auto frame_idx = Evict(ctx, lock);
+    if (!frame_idx.ok()) return frame_idx.status();
+    // A forced dirty eviction drops the latch for its write: if another
+    // thread mapped the page meanwhile, leave the victim free and re-probe.
+    if (MapFindQuiet(claim) != FrameTable::kNoFrame) continue;
+    Frame& f = frames_[*frame_idx];
+    assert(f.snapshot_pins == 0 && f.writers == 0);
+    hold = PageHandle::Hold::kPlain;
+
+    if (create) {
       memset(f.data.get(), 0, page_size_);
-      s = Status::OK();
-      complete = issue;
-      zero_filled = true;
+      f.key = key;
+      f.version = mvcc::kNoVersion;
+      f.pins = 1;
+      f.dirty = false;
+      f.referenced = true;
+      f.in_use = true;
+      MapInsert(key, *frame_idx);
+    } else {
+      auto ts_it = tablespaces_.find(key.tablespace_id);
+      if (ts_it == tablespaces_.end()) {
+        return Status::InvalidArgument("tablespace not registered with pool");
+      }
+      const bool snapshot_in_latest = snap != 0 && claim.version_class == 0;
+      // Claim the frame (mapped + pinned + fenced) before dropping the latch
+      // for the read, so concurrent fixes of the same page wait instead of
+      // double-reading.
+      f.key = claim;
+      f.version = mvcc::kNoVersion;
+      f.pins = 1;
+      if (snapshot_in_latest) {
+        f.snapshot_pins = 1;
+        hold = PageHandle::Hold::kSnapshot;
+      }
+      f.dirty = false;
+      f.referenced = true;
+      f.in_use = true;
+      f.io_busy = true;
+      MapInsert(claim, *frame_idx);
+      const SimTime issue = ctx->now;
+      lock.unlock();
+      SimTime complete = 0;
+      uint64_t version = mvcc::kNoVersion;
+      bool live = false;
+      Status s = ts_it->second->ReadPageRaw(key.page_no, issue, f.data.get(),
+                                            &complete, snap, &version, &live);
+      lock.lock();
+      f.io_busy = false;
+      cv_.notify_all();
+      bool zero_filled = false;
+      if (s.IsNotFound() && snap != 0) {
+        // No version visible at the snapshot: the page was empty when the
+        // snapshot was taken. A zeroed frame is exactly that state; no flash
+        // read happened, so nothing is accounted.
+        memset(f.data.get(), 0, page_size_);
+        s = Status::OK();
+        complete = issue;
+        zero_filled = true;
+      }
+      if (!s.ok()) {
+        MapErase(claim);
+        f.pins = 0;
+        f.snapshot_pins = 0;
+        f.in_use = false;
+        return s;
+      }
+      f.version = version;
+      const SimTime wait = complete > ctx->now ? complete - ctx->now : 0;
+      ctx->read_wait_us += wait;
+      if (!zero_filled) ctx->pages_read++;
+      ctx->AdvanceTo(complete);
+      if (snapshot_in_latest && (zero_filled || !live)) {
+        // An older version than the latest: it must not stay where latest
+        // fixes would hit it.
+        hold = PageHandle::Hold::kPlain;
+        if (!MoveToVersionClass(*frame_idx, snap)) continue;
+      }
     }
-    if (!s.ok()) {
-      MapErase(key);
-      f.pins = 0;
-      f.in_use = false;
-      return s;
-    }
-    const SimTime wait = complete > ctx->now ? complete - ctx->now : 0;
-    ctx->read_wait_us += wait;
-    if (!zero_filled) ctx->pages_read++;
-    ctx->AdvanceTo(complete);
-  }
 
-  // Let the flushers catch up with write pressure created by this fix.
-  MaybeFlushBackground(ctx, lock);
-  return PageHandle{f.data.get(), *frame_idx};
+    // Let the flushers catch up with write pressure created by this fix.
+    MaybeFlushBackground(ctx, lock);
+    return PageHandle{f.data.get(), *frame_idx, hold};
+  }
 }
 
 Status BufferPool::FetchPages(txn::TxnContext* ctx, const PageKey* keys,
@@ -572,11 +688,32 @@ Status BufferPool::SubmitFetch(txn::TxnContext* ctx, const PageKey* keys,
   Status submit_error;
   for (size_t i = 0; i < count; i++) {
     PageKey key = keys[i];
-    // Prefetches from a snapshot context claim versioned frames and tag the
-    // reads, mirroring FixPage — a later FixPage of the same page under the
-    // same snapshot hits these frames.
+    // Prefetches from a snapshot context mirror FixPage: a latest-class
+    // frame that can serve the snapshot counts as resident (so does one in
+    // flight — the fix that reaps or waits it out decides); one that cannot
+    // sends the page to the snapshot's version class; a page resident in
+    // neither class is claimed in the latest class, and the reap moves it
+    // if the copy read is superseded. The reads are tagged either way.
+    const uint64_t read_seq =
+        key.version_class == 0 ? ctx->snapshot_seq : key.version_class;
     if (ctx->snapshot_seq != 0 && key.version_class == 0) {
-      key.version_class = ctx->snapshot_seq;
+      const uint32_t latest = MapFind(key);
+      PageKey vkey = key;
+      vkey.version_class = read_seq;
+      bool resident = false;
+      if (latest != FrameTable::kNoFrame) {
+        const Frame& f = frames_[latest];
+        resident =
+            f.pending_fetch != 0 || f.io_busy || f.ServesSnapshot(read_seq);
+        if (!resident) key = vkey;
+      } else if (MapFind(vkey) != FrameTable::kNoFrame) {
+        key = vkey;
+      }
+      if (resident) {
+        stats_.hits++;
+        ctx->buffer_hits++;
+        continue;
+      }
     }
     if (MapFind(key) != FrameTable::kNoFrame) {
       // Resident (possibly as another fetch's in-flight claim): one stat
@@ -613,8 +750,16 @@ Status BufferPool::SubmitFetch(txn::TxnContext* ctx, const PageKey* keys,
       unwind();
       return frame_idx.status();
     }
+    if (MapFindQuiet(key) != FrameTable::kNoFrame) {
+      // Loaded by another thread while a forced dirty eviction had the
+      // latch dropped; the victim stays free.
+      stats_.hits++;
+      ctx->buffer_hits++;
+      continue;
+    }
     Frame& f = frames_[*frame_idx];
     f.key = key;
+    f.version = mvcc::kNoVersion;
     f.pins = 1;  // claim guard; dropped once the fetch is reaped
     f.pending_fetch = fetch.id;
     f.dirty = false;
@@ -623,8 +768,7 @@ Status BufferPool::SubmitFetch(txn::TxnContext* ctx, const PageKey* keys,
     MapInsert(key, *frame_idx);
     pending_claim_pins_++;
     run.ts = ts_it->second;
-    run.reqs.push_back({key.page_no, f.data.get(), Status(), 0,
-                        key.version_class});
+    run.reqs.push_back({key.page_no, f.data.get(), Status(), 0, read_seq});
     run.frames.push_back(*frame_idx);
     run.keys.push_back(key);
     stats_.misses++;
@@ -692,13 +836,20 @@ Status BufferPool::WaitFetchInternal(txn::TxnContext* ctx, FetchTicket ticket,
       f.pins = 0;
       f.pending_fetch = 0;
       pending_claim_pins_--;
-      const Status rs = run.reqs[k].status;
-      if (rs.IsNotFound() && run.reqs[k].read_seq != 0) {
+      const PageReadReq& req = run.reqs[k];
+      const Status rs = req.status;
+      // A snapshot read claimed in the latest class keeps its frame there
+      // only if it read the live copy.
+      const bool move = req.read_seq != 0 &&
+                        run.keys[k].version_class == 0 &&
+                        (rs.IsNotFound() || (rs.ok() && !req.live));
+      if (rs.IsNotFound() && req.read_seq != 0) {
         // Snapshot semantics: no version visible at the snapshot = the page
         // was empty then. Keep the frame resident, zeroed; no flash read
         // happened, so no read is accounted.
         memset(f.data.get(), 0, page_size_);
         stats_.batched_fetch_pages++;
+        if (move) (void)MoveToVersionClass(run.frames[k], req.read_seq);
         continue;
       }
       if (!rs.ok()) {
@@ -708,9 +859,11 @@ Status BufferPool::WaitFetchInternal(txn::TxnContext* ctx, FetchTicket ticket,
         if (first_error.ok()) first_error = rs;
         continue;
       }
+      f.version = req.version;
+      if (move) (void)MoveToVersionClass(run.frames[k], req.read_seq);
       if (ctx != nullptr) ctx->pages_read++;
       stats_.batched_fetch_pages++;
-      max_complete = std::max(max_complete, run.reqs[k].complete);
+      max_complete = std::max(max_complete, req.complete);
     }
   }
   EndSettling(ticket);
@@ -729,6 +882,20 @@ void BufferPool::EndSettling(FetchTicket id) {
   cv_.notify_all();
 }
 
+void BufferPool::AnnounceWrite(PageHandle* handle) {
+  assert(handle->valid() && handle->frame < frames_.size());
+  assert(handle->hold == PageHandle::Hold::kPlain);
+  Frame& f = frames_[handle->frame];
+  assert(f.key.version_class == 0);
+  f.writers.fetch_add(1, std::memory_order_seq_cst);
+  // Snapshot readers hold their pins only while they copy bytes out under
+  // their own structure latch, and never wait for a writer, so this ends.
+  while (f.snapshot_pins.load(std::memory_order_seq_cst) != 0) {
+    std::this_thread::yield();
+  }
+  handle->hold = PageHandle::Hold::kWriter;
+}
+
 void BufferPool::Unfix(const PageHandle& handle, bool dirty) {
   // Runs under a shared hold: pins and the dirty flag are atomics, and the
   // 0->1 dirty edge is counted exactly once via exchange.
@@ -736,8 +903,16 @@ void BufferPool::Unfix(const PageHandle& handle, bool dirty) {
   assert(handle.valid() && handle.frame < frames_.size());
   Frame& f = frames_[handle.frame];
   assert(f.pins > 0);
+  if (handle.hold == PageHandle::Hold::kSnapshot) {
+    f.snapshot_pins.fetch_sub(1, std::memory_order_seq_cst);
+  }
   f.pins.fetch_sub(1);
   if (dirty && !f.dirty.exchange(true)) dirty_count_++;
+  // A writer retracts its announcement only after the frame is dirty, so
+  // a snapshot that no longer sees the writer sees the dirty flag.
+  if (handle.hold == PageHandle::Hold::kWriter) {
+    f.writers.fetch_sub(1, std::memory_order_seq_cst);
+  }
 }
 
 Status BufferPool::FlushAll(txn::TxnContext* ctx) {
@@ -822,6 +997,15 @@ void BufferPool::DiscardTablespace(uint32_t tablespace_id) {
   if (tablespace_id < front_.size()) front_[tablespace_id].clear();
 }
 
+uint32_t BufferPool::VersionClassFrames() const {
+  ReaderLock lock(latch_);
+  uint32_t n = 0;
+  for (const Frame& f : frames_) {
+    if (f.in_use && f.key.version_class != 0) n++;
+  }
+  return n;
+}
+
 Status BufferPool::VerifyIntegrity() const {
   ReaderLock lock(latch_);
   NOFTL_RETURN_IF_ERROR(map_.VerifyIntegrity());
@@ -832,6 +1016,10 @@ Status BufferPool::VerifyIntegrity() const {
     if (!f.in_use) continue;
     in_use++;
     if (f.dirty) dirty++;
+    if (f.key.version_class != 0 && f.dirty) {
+      return Status::Corruption("version-class frame " + std::to_string(i) +
+                                " is dirty");
+    }
     if (map_.Find(f.key) != i) {
       return Status::Corruption("frame " + std::to_string(i) +
                                 " not mapped to its key");

@@ -18,6 +18,20 @@
 // than std::unordered_map: one flat array, no per-node allocation, and the
 // common hit probes one or two adjacent slots.
 //
+// Snapshot reads (TxnContext::snapshot_seq != 0) go through the same frames
+// as latest reads. Every frame records the commit sequence of the flash copy
+// it equals (its version); a clean latest-class frame whose version the
+// snapshot covers holds exactly the bytes the snapshot would read from
+// flash, so it serves the snapshot as a plain hit. Only a page superseded
+// since the snapshot opened, or dirty, is read into a separate frame of the
+// snapshot's version class (see PageKey). A snapshot miss on a page with no
+// latest-class frame reads into the latest class, and moves the frame to the
+// version class if the copy the mapper returned is no longer the live one.
+// The one writer that changes page bytes without a latch excluding
+// snapshot readers — HeapFile::Update's same-size in-slot path — announces
+// itself with AnnounceWrite first, so a frame being written is never served
+// to a snapshot and the writer waits out the snapshot readers already on it.
+//
 // Thread safety: the pool is guarded by one reader-writer latch. The hit
 // path — by far the common case — runs entirely under a *shared* hold: the
 // front-cache probe reads lock-free atomic slots, pin counts / reference
@@ -40,16 +54,19 @@
 #include "common/annotated_mutex.h"
 #include "common/atomic_counter.h"
 #include "common/status.h"
+#include "mvcc/version_horizon.h"
 #include "txn/txn.h"
 
 namespace noftl::buffer {
 
 /// Global page identity: tablespace id + page number within it, plus the
 /// version class the frame holds. version_class 0 is the latest copy (the
-/// only class that is ever dirty); a nonzero class caches the page as of
-/// that snapshot sequence — read-only frames resolved through the mapper's
-/// retained version chains, kept separate so snapshot scans never evict or
-/// alias the latest working set's frames.
+/// only class that is ever dirty); it also serves every snapshot that sees
+/// its flash copy while it is clean. A nonzero class caches the page as of
+/// that snapshot sequence, and exists only for pages the snapshot cannot
+/// read from the latest-class frame: superseded since the snapshot opened,
+/// or dirty. Such frames are read-only, resolved through the mapper's
+/// retained version chains.
 struct PageKey {
   uint32_t tablespace_id = 0;
   uint64_t page_no = 0;
@@ -76,8 +93,8 @@ struct PageKeyHash {
   }
 };
 
-/// One page read of a batched PageIo submission; status/complete are the
-/// completion slots.
+/// One page read of a batched PageIo submission; status, complete, version
+/// and live are the completion slots.
 struct PageReadReq {
   uint64_t page_no = 0;
   char* buf = nullptr;
@@ -85,6 +102,12 @@ struct PageReadReq {
   SimTime complete = 0;
   /// Snapshot sequence to resolve the read against (0 = latest copy).
   uint64_t read_seq = 0;
+  /// Commit sequence of the copy read, or for a latest read (read_seq 0)
+  /// an upper bound on it (see storage::IoRequest::version);
+  /// mvcc::kNoVersion = unknown.
+  uint64_t version = mvcc::kNoVersion;
+  /// The copy read is the page's live copy, not a retained older version.
+  bool live = false;
 };
 
 /// One page write of a batched PageIo submission.
@@ -93,6 +116,8 @@ struct PageWriteReq {
   const char* data = nullptr;
   Status status;
   SimTime complete = 0;
+  /// Commit sequence of the copy installed (mvcc::kNoVersion = unknown).
+  uint64_t version = mvcc::kNoVersion;
 };
 
 /// Handle of one in-flight PageIo submission (scoped to the PageIo object);
@@ -109,12 +134,18 @@ class PageIo {
   /// Synchronous read of a page; *complete is the finish time. A nonzero
   /// `read_seq` resolves the page as of that snapshot sequence (flash-native
   /// MVCC); NotFound then means "no version visible at the snapshot" — the
-  /// page was empty when the snapshot was taken.
+  /// page was empty when the snapshot was taken. `*version` and `*live`
+  /// (if non-null) receive PageReadReq's completion slots of those names;
+  /// an implementation that does not track versions leaves them alone.
   virtual Status ReadPageRaw(uint64_t page_no, SimTime issue, char* data,
-                             SimTime* complete, uint64_t read_seq = 0) = 0;
-  /// Out-of-place write; *complete is the finish time.
+                             SimTime* complete, uint64_t read_seq = 0,
+                             uint64_t* version = nullptr,
+                             bool* live = nullptr) = 0;
+  /// Out-of-place write; *complete is the finish time, `*version` (if
+  /// non-null) the commit sequence of the installed copy.
   virtual Status WritePageRaw(uint64_t page_no, SimTime issue,
-                              const char* data, SimTime* complete) = 0;
+                              const char* data, SimTime* complete,
+                              uint64_t* version = nullptr) = 0;
 
   /// Queued variants: enqueue the whole run at `issue` and return a ticket
   /// immediately; the per-request slots are filled when the ticket is
@@ -271,8 +302,19 @@ using FetchTicket = uint64_t;
 
 /// RAII-ish page handle; the caller must Unfix (or use the PageGuard below).
 struct PageHandle {
+  /// What the fix holds on the frame beyond its pin; Unfix undoes it.
+  enum class Hold : uint8_t {
+    kPlain,
+    /// A snapshot read served by a latest-class frame: counted in the
+    /// frame's snapshot pins, which an announced writer waits out.
+    kSnapshot,
+    /// An announced in-place writer (BufferPool::AnnounceWrite).
+    kWriter,
+  };
+
   char* data = nullptr;
   uint32_t frame = ~0u;
+  Hold hold = Hold::kPlain;
 
   bool valid() const { return data != nullptr; }
 };
@@ -286,9 +328,25 @@ class BufferPool {
 
   /// Fix (pin) a page. `create=true` formats a zeroed frame without reading
   /// flash — used for freshly allocated pages. Misses advance ctx->now by
-  /// the read wait.
+  /// the read wait. From a snapshot context (ctx->snapshot_seq != 0) a
+  /// non-create fix of a latest-class key reads the page as of the
+  /// snapshot: from the latest-class frame when it is clean, not being
+  /// written and holds a copy the snapshot sees, else from the snapshot's
+  /// version class.
   Result<PageHandle> FixPage(txn::TxnContext* ctx, const PageKey& key,
                              bool create);
+
+  /// Announce an in-place modification of a fixed latest-class page by a
+  /// writer that no latch separates from the page's snapshot readers
+  /// (HeapFile::Update's same-size path runs under a shared table latch).
+  /// Call it before touching the bytes: from here until the Unfix no
+  /// snapshot is served this frame, and the call first waits out the
+  /// snapshot readers already on it. The announcement and the readers'
+  /// snapshot pins are sequentially consistent (Dekker style), so either
+  /// the writer sees a reader's pin or the reader sees the writer.
+  /// (Analysis-exempt: it touches only the frame's atomics, through the
+  /// caller's pin, and frames_ never resizes.)
+  void AnnounceWrite(PageHandle* handle) NO_THREAD_SAFETY_ANALYSIS;
 
   /// Prefetch: make every listed page resident, reading all absent pages in
   /// one batched submission per tablespace run (cross-die overlap below, so
@@ -352,19 +410,29 @@ class BufferPool {
   uint32_t frame_count() const { return options_.frame_count; }
   uint32_t dirty_count() const { return dirty_count_; }
 
+  /// Resident frames of snapshot version classes. O(frames).
+  uint32_t VersionClassFrames() const;
+
   /// Cross-check the frame table against the frames: bijection between
   /// in-use frames and table entries, dirty count, pin sanity. O(frames).
   Status VerifyIntegrity() const;
 
  private:
-  // Field locking: `key`, `in_use`, `pending_fetch` and `io_busy` change
-  // only under the exclusive latch (shared holders read them safely);
-  // `pins`, `dirty` and `referenced` are atomics because the hit path and
-  // Unfix mutate them under a shared hold.
-  struct Frame {
+  // Field locking: `key`, `version`, `in_use`, `pending_fetch` and
+  // `io_busy` change only under the exclusive latch (shared holders read
+  // them safely); `pins`, `snapshot_pins`, `writers`, `dirty` and
+  // `referenced` are atomics because the hit path, AnnounceWrite and Unfix
+  // mutate them under a shared hold or none.
+  /// One cache line: the hit path's fields and the snapshot fields that
+  /// AnnounceWrite and snapshot fixes touch share it.
+  struct alignas(64) Frame {
     PageKey key;
     std::unique_ptr<char[]> data;
     Relaxed<uint32_t> pins = 0;
+    /// Pins held by snapshot readers served from this latest-class frame
+    /// (PageHandle::Hold::kSnapshot). Like `writers` below, only touched
+    /// with seq_cst operations (see AnnounceWrite).
+    Relaxed<uint32_t> snapshot_pins = 0;
     /// Nonzero while the frame is a claimed target of an in-flight
     /// SubmitFetch (the owning fetch ticket); FixPage reaps that fetch
     /// before touching the frame.
@@ -376,7 +444,25 @@ class BufferPool {
     Relaxed<bool> dirty = false;
     Relaxed<bool> referenced = false;  ///< CLOCK bit
     bool in_use = false;
+    /// Announced in-place writers (PageHandle::Hold::kWriter).
+    Relaxed<uint32_t> writers = 0;
+    /// Commit sequence of the flash copy the frame's bytes equal (an upper
+    /// bound for a copy a latest read loaded), set when the frame is loaded
+    /// or written back; mvcc::kNoVersion for a `create`d frame not yet
+    /// written. Meaningful while the frame is clean: dirty bytes equal no
+    /// flash copy.
+    uint64_t version = mvcc::kNoVersion;
+
+    /// Whether this latest-class frame holds exactly the bytes a read at
+    /// snapshot `snap` sees: a version the snapshot covers (kNoVersion
+    /// compares above every sequence), clean, and no announced writer.
+    bool ServesSnapshot(uint64_t snap) const {
+      return version <= snap &&
+             writers.load(std::memory_order_seq_cst) == 0 &&
+             !dirty.load(std::memory_order_seq_cst);
+    }
   };
+  static_assert(sizeof(Frame) == 64);
 
   /// One same-tablespace run of an in-flight prefetch. The request array is
   /// frozen before submission (the backend keeps pointers into it).
@@ -449,6 +535,29 @@ class BufferPool {
       REQUIRES(latch_) NO_THREAD_SAFETY_ANALYSIS;
 
   void DiscardInternal(const PageKey& key, WriterLock& lock) REQUIRES(latch_);
+
+  /// Pin latest-class frame `f` for a read at snapshot `snap` if it
+  /// ServesSnapshot. Counts the pin in f.snapshot_pins.
+  bool PinForSnapshot(Frame& f, uint64_t snap) REQUIRES_SHARED(latch_);
+
+  /// One probe for a fix of latest-class `key` read at snapshot `snap`
+  /// (0 = a latest read): the latest-class frame, then — for a snapshot it
+  /// cannot serve — the snapshot's version-class frame. A hit is pinned
+  /// and returned with its hold in `*hold`. A frame in flight (claimed by
+  /// a fetch or crossing the backend) is returned in `*in_flight` instead,
+  /// for the caller to reap or wait out. `quiet` probes skip the front
+  /// cache and its stats (see MapFindQuiet).
+  uint32_t ProbeAndPin(const PageKey& key, uint64_t snap, bool quiet,
+                       PageHandle::Hold* hold, uint32_t* in_flight)
+      REQUIRES_SHARED(latch_);
+
+  /// A snapshot read claimed frame `frame` in the latest class (no frame
+  /// of the page was resident), and the copy it read is not the live one
+  /// or there was none: move the frame to version class `snap` before
+  /// anyone can hit it. Returns false — the frame is freed — if the
+  /// version class already holds the page (a concurrent snapshot of the
+  /// same sequence loaded it meanwhile).
+  bool MoveToVersionClass(uint32_t frame, uint64_t snap) REQUIRES(latch_);
 
   /// Close one settling window of fetch `id` and wake its waiters.
   void EndSettling(FetchTicket id) REQUIRES(latch_);

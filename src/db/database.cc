@@ -209,7 +209,7 @@ Result<index::BTree*> Database::CreateIndex(const std::string& name,
   }
   auto tree = index::BTree::Create(next_object_id_++, name,
                                    ts_it->second.get(), buffer_.get(),
-                                   &ddl_ctx_);
+                                   &ddl_ctx_, snapshots_->horizon());
   if (!tree.ok()) return tree.status();
   indexes_[name] = std::unique_ptr<index::BTree>(*tree);
   index_tablespace_[name] = tablespace;

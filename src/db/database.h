@@ -158,8 +158,12 @@ class Database {
   /// (the snapshot covers what is on flash, not what sits dirty in the
   /// pool), then pins a version horizon across every region mapper. Returns
   /// the snapshot handle; store it in TxnContext::snapshot_seq to run reads
-  /// against it. NotSupported under the FTL backend — the block interface
-  /// cannot expose the out-of-place copies the version store is made of.
+  /// against it. The reads go through the buffer pool: after the flush every
+  /// resident frame is clean and equals a flash copy the snapshot sees, so
+  /// the snapshot hits it until a writer dirties or supersedes the page;
+  /// only such pages are read from flash, into the snapshot's own version
+  /// class. NotSupported under the FTL backend — the block interface cannot
+  /// expose the out-of-place copies the version store is made of.
   Result<uint64_t> OpenSnapshot(txn::TxnContext* ctx);
   /// Release a snapshot handle: unpins the horizon and eagerly reclaims
   /// retained versions no other live snapshot can read.

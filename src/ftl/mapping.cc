@@ -354,6 +354,19 @@ uint64_t OutOfPlaceMapper::NextWriteSeq() {
   return options_.snapshots != nullptr ? options_.snapshots->Draw() : 0;
 }
 
+uint64_t OutOfPlaceMapper::LatestReadSeq(uint64_t lpn) const {
+  const mvcc::VersionHorizon* h = options_.snapshots;
+  // With no snapshot live or opening, the newest sequence drawn is as good
+  // as the copy's own: every snapshot opened later draws a larger one. Any
+  // write this mapper installed drew its sequence before mu_ was taken, so
+  // the relaxed load sees at least that draw.
+  if (h != nullptr && h->newest.load(std::memory_order_acquire) == 0 &&
+      h->opening.load(std::memory_order_acquire) == 0) {
+    return h->next_seq.load(std::memory_order_relaxed) - 1;
+  }
+  return LastSeqOf(lpn);
+}
+
 uint64_t OutOfPlaceMapper::LastSeqOf(uint64_t lpn) const {
   return lpn < last_seq_.size() ? last_seq_[lpn] : 0;
 }
@@ -391,11 +404,17 @@ void OutOfPlaceMapper::RetainOrInvalidate(uint64_t lpn, uint64_t new_seq) {
 }
 
 Result<PhysAddr> OutOfPlaceMapper::ResolveForRead(uint64_t lpn,
-                                                  uint64_t read_seq) const {
+                                                  uint64_t read_seq,
+                                                  uint64_t* seq,
+                                                  bool* live) const {
   if (read_seq == 0 || options_.snapshots == nullptr ||
       LastSeqOf(lpn) <= read_seq) {
     const PhysAddr addr = l2p_[lpn];
     if (addr.die == kUnmappedDie) return Status::NotFound("lpn unmapped");
+    if (seq != nullptr) {
+      *seq = read_seq == 0 ? LatestReadSeq(lpn) : LastSeqOf(lpn);
+    }
+    if (live != nullptr) *live = true;
     return addr;
   }
   // The current copy postdates the snapshot: the visible version, if any,
@@ -409,6 +428,8 @@ Result<PhysAddr> OutOfPlaceMapper::ResolveForRead(uint64_t lpn,
       // page was trimmed at the snapshot (the trim drew next_seq and left
       // no copy behind).
       if (rit->next_seq <= read_seq) break;
+      if (seq != nullptr) *seq = rit->seq;
+      if (live != nullptr) *live = false;
       return rit->addr;
     }
   }
@@ -513,7 +534,8 @@ Status OutOfPlaceMapper::Read(uint64_t lpn, SimTime issue, OpOrigin origin,
 Status OutOfPlaceMapper::FinishRead(uint64_t lpn, PhysAddr addr,
                                     flash::OpResult r, OpOrigin origin,
                                     char* data, SimTime* complete,
-                                    uint64_t read_seq) {
+                                    uint64_t read_seq, uint64_t* seq,
+                                    bool* live) {
   for (uint32_t attempt = 1;; attempt++) {
     // A read past the block's disturb limit flags `disturbed` on success
     // and failure alike: relocate the block's data before it degrades.
@@ -533,6 +555,9 @@ Status OutOfPlaceMapper::FinishRead(uint64_t lpn, PhysAddr addr,
       if (read_seq == 0) {
         Status s = SalvageSupersededCopy(lpn, r.complete, data, complete);
         if (s.ok()) {
+          // The salvaged copy is the live mapping now.
+          if (seq != nullptr) *seq = LastSeqOf(lpn);
+          if (live != nullptr) *live = true;
           stats_.reads_salvaged++;
           return Status::OK();
         }
@@ -554,7 +579,7 @@ Status OutOfPlaceMapper::FinishRead(uint64_t lpn, PhysAddr addr,
     // their version chain the same way (a scrub may have relocated the
     // retained copy too).
     ProcessReadScrubs(retry_at);
-    auto resolved = ResolveForRead(lpn, read_seq);
+    auto resolved = ResolveForRead(lpn, read_seq, seq, live);
     if (!resolved.ok()) {
       return Status::NotFound("lpn unmapped during read retry");
     }
@@ -718,7 +743,8 @@ Status OutOfPlaceMapper::SubmitBatch(storage::IoRequest* requests, size_t count,
           io.status = Status::OutOfRange("lpn out of range");
           break;
         }
-        auto resolved = ResolveForRead(r.lpn, r.read_seq);
+        auto resolved = ResolveForRead(r.lpn, r.read_seq, &io.version,
+                                       &io.live);
         if (!resolved.ok()) {
           io.status = resolved.status();
           break;
@@ -739,8 +765,11 @@ Status OutOfPlaceMapper::SubmitBatch(storage::IoRequest* requests, size_t count,
         // waits for the reap.
         SimTime page_done = issue;
         io.status = WriteLocked(r.lpn, issue, origin, r.write_data,
-                                r.object_id, &page_done);
-        if (io.status.ok()) io.complete = page_done;
+                                r.object_id, &page_done, &io.version);
+        if (io.status.ok()) {
+          io.complete = page_done;
+          io.live = true;
+        }
         break;
       }
       case IoOp::kTrim:
@@ -793,10 +822,12 @@ Status OutOfPlaceMapper::SubmitBatch(storage::IoBatch* batch, SimTime issue,
   const uint32_t object_id =
       batch->empty() ? 0 : batch->requests().front().object_id;
   SimTime done = issue;
-  Status s = WriteAtomicBatch(pages, issue, OpOrigin::kHost, object_id, &done);
+  uint64_t commit_seq = mvcc::kNoVersion;
+  Status s = WriteAtomicBatch(pages, issue, OpOrigin::kHost, object_id, &done,
+                              &commit_seq);
   if (!s.ok()) return reject(s);
-  const storage::IoTicket t =
-      EnqueueResolved(batch->requests().data(), batch->size(), issue, s, done);
+  const storage::IoTicket t = EnqueueResolved(
+      batch->requests().data(), batch->size(), issue, s, done, commit_seq);
   if (ticket == nullptr) return WaitBatch(t, nullptr);
   *ticket = t;
   return Status::OK();
@@ -804,7 +835,7 @@ Status OutOfPlaceMapper::SubmitBatch(storage::IoBatch* batch, SimTime issue,
 
 storage::IoTicket OutOfPlaceMapper::EnqueueResolved(
     storage::IoRequest* requests, size_t count, SimTime issue,
-    const Status& status, SimTime done) {
+    const Status& status, SimTime done, uint64_t version) {
   RecursiveMutexLock lock(mu_);
   PendingBatch batch;
   batch.id = next_io_ticket_++;
@@ -815,7 +846,11 @@ storage::IoTicket OutOfPlaceMapper::EnqueueResolved(
     PendingIo io;
     io.req = &requests[i];
     io.status = status;
-    if (status.ok()) io.complete = done;
+    if (status.ok()) {
+      io.complete = done;
+      io.version = version;
+      io.live = true;
+    }
     batch.ios.push_back(std::move(io));
   }
   batch.remaining = count;
@@ -842,8 +877,10 @@ void OutOfPlaceMapper::RetireIo(PendingBatch* batch, PendingIo* io) {
       // retries with backoff, disturb/hard-failure scrub queueing, salvage.
       // Safe here because the device captures read data eagerly at submit —
       // a scrub erase during the retries cannot corrupt parked reads.
-      io->status = FinishRead(io->req->lpn, io->addr, *r, batch->origin,
-                              io->req->read_buf, &io->complete, io->read_seq);
+      io->status =
+          FinishRead(io->req->lpn, io->addr, *r, batch->origin,
+                     io->req->read_buf, &io->complete, io->read_seq,
+                     &io->version, &io->live);
       if (io->status.ok() && io->host_read) stats_.host_reads++;
     } else {
       io->status = r.status();
@@ -856,6 +893,10 @@ void OutOfPlaceMapper::RetireIo(PendingBatch* batch, PendingIo* io) {
   storage::IoRequest* req = io->req;
   req->status = io->status;
   req->complete = io->complete;
+  if (io->status.ok()) {
+    req->version = io->version;
+    req->live = io->live;
+  }
   req->done = true;
   if (req->on_complete) req->on_complete(*req);
 }
@@ -1045,7 +1086,8 @@ Status OutOfPlaceMapper::Write(uint64_t lpn, SimTime issue, OpOrigin origin,
 
 Status OutOfPlaceMapper::WriteLocked(uint64_t lpn, SimTime issue,
                                      OpOrigin origin, const char* data,
-                                     uint32_t object_id, SimTime* complete) {
+                                     uint32_t object_id, SimTime* complete,
+                                     uint64_t* seq) {
   if (lpn >= logical_pages_) return Status::OutOfRange("lpn out of range");
 
   flash::PageMetadata meta;
@@ -1060,8 +1102,10 @@ Status OutOfPlaceMapper::WriteLocked(uint64_t lpn, SimTime issue,
       ProgramWithRetry(lpn, issue, origin, data, meta, &slot, &done));
 
   versions_[lpn]++;
-  RetainOrInvalidate(lpn, NextWriteSeq());
+  const uint64_t new_seq = NextWriteSeq();
+  RetainOrInvalidate(lpn, new_seq);
   Map(lpn, slot);
+  if (seq != nullptr) *seq = new_seq;
   MarkDirtyLpn(lpn);
   StateOf(slot.die).blocks[slot.block].last_update = done;
   if (complete != nullptr) *complete = done;
@@ -1077,7 +1121,8 @@ Status OutOfPlaceMapper::WriteLocked(uint64_t lpn, SimTime issue,
 Status OutOfPlaceMapper::WriteAtomicBatch(const std::vector<BatchPage>& pages,
                                           SimTime issue, OpOrigin origin,
                                           uint32_t object_id,
-                                          SimTime* complete) {
+                                          SimTime* complete,
+                                          uint64_t* commit_seq) {
   NOFTL_ASSERT_NO_UPPER_LATCHES();
   if (origin == OpOrigin::kHost) {
     stats_.foreground_arrivals++;
@@ -1149,10 +1194,11 @@ Status OutOfPlaceMapper::WriteAtomicBatch(const std::vector<BatchPage>& pages,
   // concurrently lands either entirely before it (sees every old version)
   // or entirely after (sees every new one) — per-page sequences would let
   // a snapshot straddle the commit and read half the batch.
-  const uint64_t commit_seq = NextWriteSeq();
+  const uint64_t seq = NextWriteSeq();
+  if (commit_seq != nullptr) *commit_seq = seq;
   for (size_t i = 0; i < pages.size(); i++) {
     versions_[pages[i].lpn]++;
-    RetainOrInvalidate(pages[i].lpn, commit_seq);
+    RetainOrInvalidate(pages[i].lpn, seq);
     Map(pages[i].lpn, slots[i]);
     MarkDirtyLpn(pages[i].lpn);
     StateOf(slots[i].die).blocks[slots[i].block].last_update = done;

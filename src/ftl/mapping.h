@@ -321,7 +321,8 @@ class OutOfPlaceMapper {
   /// with `status`; successful requests complete at `done`.
   storage::IoTicket EnqueueResolved(storage::IoRequest* requests, size_t count,
                                     SimTime issue, const Status& status,
-                                    SimTime done);
+                                    SimTime done,
+                                    uint64_t version = mvcc::kNoVersion);
 
   /// Atomically install a multi-page update (paper §1, advantage iv: direct
   /// control over out-of-place updates enables short atomic writes without
@@ -335,9 +336,11 @@ class OutOfPlaceMapper {
   /// for orphans that survive a failed scrub erase; such scrubs are retried
   /// before the next batch, which fails with Busy while any orphan remains
   /// (committing would stamp a watermark that vouches for the orphans).
+  /// `*commit_seq` (if non-null) receives the one commit sequence every
+  /// page of a committed batch carries.
   Status WriteAtomicBatch(const std::vector<BatchPage>& pages, SimTime issue,
                           flash::OpOrigin origin, uint32_t object_id,
-                          SimTime* complete);
+                          SimTime* complete, uint64_t* commit_seq = nullptr);
 
   /// Drop the mapping of `lpn` (delete/TRIM); the physical page becomes
   /// garbage for the next GC pass. OK even if unmapped.
@@ -687,9 +690,10 @@ class OutOfPlaceMapper {
 
   /// Body of Write(), sans admission/latch: SubmitBatch drives it directly
   /// for its kWrite requests (the batch was admitted once at entry).
+  /// `*seq` (if non-null) receives the commit sequence of the new copy.
   Status WriteLocked(uint64_t lpn, SimTime issue, flash::OpOrigin origin,
-                     const char* data, uint32_t object_id, SimTime* complete)
-      REQUIRES(mu_);
+                     const char* data, uint32_t object_id, SimTime* complete,
+                     uint64_t* seq = nullptr) REQUIRES(mu_);
 
   /// Ensure the die has a host-active block with a free page; may run GC.
   Status PrepareHostSlot(flash::DieId die, SimTime issue,
@@ -797,11 +801,13 @@ class OutOfPlaceMapper {
   /// blocks for scrub, and salvage hard-unreadable pages from a superseded
   /// on-flash copy (latest reads only — a snapshot read, read_seq != 0,
   /// retries against its own version resolution and reports hard failures
-  /// as-is). On success fills `*complete`. Does not count
-  /// stats_.host_reads — the call sites own that.
+  /// as-is). On success fills `*complete`, and `*seq`/`*live` (if
+  /// non-null) describe the copy that was finally read, as ResolveForRead
+  /// does. Does not count stats_.host_reads — the call sites own that.
   Status FinishRead(uint64_t lpn, flash::PhysAddr addr, flash::OpResult r,
                     flash::OpOrigin origin, char* data, SimTime* complete,
-                    uint64_t read_seq) REQUIRES(mu_);
+                    uint64_t read_seq, uint64_t* seq = nullptr,
+                    bool* live = nullptr) REQUIRES(mu_);
 
   /// Queue `addr`'s block for a read-health scrub (dedup'd; checkpoint-
   /// reserved blocks and foreign dies are ignored).
@@ -855,6 +861,11 @@ class OutOfPlaceMapper {
   /// Commit sequence of the current copy of `lpn` (0 = written before any
   /// sequence was drawn: visible to every snapshot).
   uint64_t LastSeqOf(uint64_t lpn) const REQUIRES(mu_);
+  /// The sequence a latest read reports for the current copy of `lpn`:
+  /// LastSeqOf, or while no snapshot is live or opening the newest
+  /// sequence drawn so far, an upper bound that spares the latest read
+  /// path the per-lpn lookup and is below every snapshot opened later.
+  uint64_t LatestReadSeq(uint64_t lpn) const REQUIRES(mu_);
   void SetLastSeq(uint64_t lpn, uint64_t seq) REQUIRES(mu_);
 
   /// The supersede hook: if any live snapshot could still read the current
@@ -867,9 +878,14 @@ class OutOfPlaceMapper {
   /// Translate `lpn` for a read at snapshot `read_seq` (0 = latest).
   /// Returns the live mapping, a retained chain entry, or NotFound when the
   /// page did not exist at that snapshot (never written, or trimmed and not
-  /// yet rewritten as of read_seq).
-  Result<flash::PhysAddr> ResolveForRead(uint64_t lpn, uint64_t read_seq)
-      const REQUIRES(mu_);
+  /// yet rewritten as of read_seq). `*seq` (if non-null) receives the
+  /// commit sequence of the resolved copy (for a latest read,
+  /// LatestReadSeq, which may be an upper bound) and `*live` whether it is
+  /// the live mapping rather than a retained chain entry.
+  Result<flash::PhysAddr> ResolveForRead(uint64_t lpn, uint64_t read_seq,
+                                         uint64_t* seq = nullptr,
+                                         bool* live = nullptr) const
+      REQUIRES(mu_);
 
   /// Whether relocation sources from a retained chain rather than the live
   /// mapping: retained entry of `lpn` whose physical address is `addr`
@@ -916,6 +932,10 @@ class OutOfPlaceMapper {
     Status status;                  ///< resolved outcome when dev_ticket == 0
     SimTime complete = 0;
     uint64_t read_seq = 0;   ///< snapshot sequence of the read (0 = latest)
+    /// Commit sequence of the copy read or installed, and whether a read
+    /// resolved the live mapping (IoRequest's completion slots).
+    uint64_t version = mvcc::kNoVersion;
+    bool live = false;
     bool host_read = false;  ///< count stats_.host_reads when it retires OK
     bool retired = false;
   };

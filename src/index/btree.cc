@@ -106,17 +106,20 @@ struct BTree::Node {
 };
 
 BTree::BTree(uint32_t object_id, std::string name,
-             storage::Tablespace* tablespace, buffer::BufferPool* pool)
+             storage::Tablespace* tablespace, buffer::BufferPool* pool,
+             const mvcc::VersionHorizon* versions)
     : object_id_(object_id),
       name_(std::move(name)),
       tablespace_(tablespace),
-      pool_(pool) {}
+      pool_(pool),
+      versions_(versions) {}
 
 Result<BTree*> BTree::Create(uint32_t object_id, std::string name,
                              storage::Tablespace* tablespace,
-                             buffer::BufferPool* pool, txn::TxnContext* ctx) {
+                             buffer::BufferPool* pool, txn::TxnContext* ctx,
+                             const mvcc::VersionHorizon* versions) {
   auto tree = std::unique_ptr<BTree>(
-      new BTree(object_id, std::move(name), tablespace, pool));
+      new BTree(object_id, std::move(name), tablespace, pool, versions));
   // Unpublished, but NewNodePage carries REQUIRES(latch_) and the runtime
   // tracker expects acquisitions to pair — take the (uncontended) latch.
   WriterLock lock(tree->latch_);
@@ -149,14 +152,32 @@ Status BTree::DropStorage(txn::TxnContext* ctx) {
   entry_count_ = 0;
   height_ = 1;
   root_page_ = 0;
+  past_roots_.clear();
   return Status::OK();
+}
+
+void BTree::RootFor(const txn::TxnContext* ctx, uint64_t* root,
+                    uint32_t* height) const {
+  if (ctx->snapshot_seq != 0) {
+    for (const PastRoot& past : past_roots_) {
+      if (ctx->snapshot_seq < past.until_seq) {
+        *root = past.page_no;
+        *height = past.height;
+        return;
+      }
+    }
+  }
+  *root = root_page_;
+  *height = height_;
 }
 
 Status BTree::DescendToLeaf(txn::TxnContext* ctx, Key128 key,
                             std::vector<PathEntry>* path,
                             uint64_t* leaf_page) {
-  uint64_t page_no = root_page_;
-  for (uint32_t level = 0; level + 1 < height_; level++) {
+  uint64_t page_no = 0;
+  uint32_t height = 0;
+  RootFor(ctx, &page_no, &height);
+  for (uint32_t level = 0; level + 1 < height; level++) {
     auto h = pool_->FixPage(ctx, {tablespace_->tablespace_id(), page_no},
                             /*create=*/false);
     if (!h.ok()) return h.status();
@@ -249,6 +270,13 @@ Status BTree::InsertIntoParent(txn::TxnContext* ctx,
       root.SetLeftChild(root_page_);
       root.InsertAt(0, sep, new_child);
       pool_->Unfix(*h, /*dirty=*/true);
+      if (versions_ != nullptr) {
+        // A snapshot opened before now must keep descending from the old
+        // root: the new one has no flash copy it can see.
+        past_roots_.push_back(
+            {versions_->next_seq.load(std::memory_order_acquire), root_page_,
+             height_});
+      }
       root_page_ = *new_root;
       height_++;
       return Status::OK();
@@ -451,7 +479,10 @@ Status BTree::ScanFromLocked(txn::TxnContext* ctx, Key128 from,
 Status BTree::PrefetchLeaves(txn::TxnContext* ctx, Key128 from, Key128 to,
                              buffer::FetchTicket* ticket) {
   *ticket = 0;
-  if (height_ < 2) return Status::OK();  // root is the only leaf
+  uint64_t root = 0;
+  uint32_t height = 0;
+  RootFor(ctx, &root, &height);
+  if (height < 2) return Status::OK();  // root is the only leaf
   std::vector<PathEntry> path;
   uint64_t leaf_page = 0;
   NOFTL_RETURN_IF_ERROR(DescendToLeaf(ctx, from, &path, &leaf_page));

@@ -18,6 +18,13 @@
 // Internal nodes are never freed and the root never collapses, so the height
 // only grows.
 //
+// Snapshot reads (TxnContext::snapshot_seq != 0) descend from the root the
+// tree had when the snapshot opened. The root page and height live in memory,
+// not on a page, so each root split keeps the root it replaces together with
+// the commit sequence current at the split; a snapshot older than that
+// sequence starts from the old root, whose pages it reads as of the
+// snapshot like any other.
+//
 // Thread safety: a tree-level reader/writer latch. Lookups and scans ride
 // shared holds (node pages are only read); Insert/Delete/DropStorage take
 // it exclusively — splits and in-node entry shifts restructure pages that
@@ -34,6 +41,7 @@
 #include "common/annotated_mutex.h"
 #include "common/atomic_counter.h"
 #include "common/status.h"
+#include "mvcc/version_horizon.h"
 #include "storage/tablespace.h"
 #include "txn/txn.h"
 
@@ -53,10 +61,13 @@ struct Key128 {
 class BTree {
  public:
   /// Creates an empty tree rooted in a fresh leaf page of `tablespace`.
-  /// `object_id` tags the index's pages in flash OOB metadata.
+  /// `object_id` tags the index's pages in flash OOB metadata. `versions`
+  /// is the commit-sequence source of the snapshots that may read the tree
+  /// (null: no snapshot ever reads it).
   static Result<BTree*> Create(uint32_t object_id, std::string name,
                                storage::Tablespace* tablespace,
-                               buffer::BufferPool* pool, txn::TxnContext* ctx);
+                               buffer::BufferPool* pool, txn::TxnContext* ctx,
+                               const mvcc::VersionHorizon* versions = nullptr);
 
   uint32_t object_id() const { return object_id_; }
   const std::string& name() const { return name_; }
@@ -112,7 +123,7 @@ class BTree {
 
  private:
   BTree(uint32_t object_id, std::string name, storage::Tablespace* tablespace,
-        buffer::BufferPool* pool);
+        buffer::BufferPool* pool, const mvcc::VersionHorizon* versions);
 
   // Node layout constants (see btree.cc for the byte layout).
   static constexpr uint16_t kMagic = 0x4254;  // "BT"
@@ -137,6 +148,11 @@ class BTree {
   Status DescendToLeaf(txn::TxnContext* ctx, Key128 key,
                        std::vector<PathEntry>* path, uint64_t* leaf_page)
       REQUIRES_SHARED(latch_);
+
+  /// Root page and height `ctx` reads the tree from: the current ones, or
+  /// for a snapshot the ones it had when the snapshot opened.
+  void RootFor(const txn::TxnContext* ctx, uint64_t* root,
+               uint32_t* height) const REQUIRES_SHARED(latch_);
 
   /// ScanFrom body; caller holds latch_ (shared suffices).
   Status ScanFromLocked(txn::TxnContext* ctx, Key128 from,
@@ -180,9 +196,19 @@ class BTree {
   /// LockRank::kIndex — ordered above the buffer-pool latch (node fixes run
   /// under a hold) and the tablespace/backend layers page allocation crosses.
   mutable SharedMutex latch_{LockRank::kIndex};
+  const mvcc::VersionHorizon* versions_;
   uint64_t root_page_ GUARDED_BY(latch_) = 0;
   Relaxed<uint64_t> entry_count_ = 0;   ///< readable without the latch
   Relaxed<uint32_t> height_ = 1;        ///< readable without the latch
+  /// A root a root split replaced: snapshots with a sequence below
+  /// `until_seq` (the next commit sequence at the split) descend from it.
+  struct PastRoot {
+    uint64_t until_seq;
+    uint64_t page_no;
+    uint32_t height;
+  };
+  /// Oldest first; only kept when `versions_` is set.
+  std::vector<PastRoot> past_roots_ GUARDED_BY(latch_);
   bool range_prefetch_ = true;
   /// All node pages, for DropStorage (freed leaves leave it).
   std::vector<uint64_t> pages_ GUARDED_BY(latch_);

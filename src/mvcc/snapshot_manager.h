@@ -53,7 +53,12 @@ class SnapshotManager {
   /// Open a snapshot: returns its sequence (the handle). Versions with
   /// seq <= the handle are visible to it. The caller is responsible for
   /// making flash current first (flush dirty buffers) — the snapshot covers
-  /// what is on flash, not what sits dirty in a cache above.
+  /// what is on flash, not what sits dirty in a cache above. A cache whose
+  /// clean copy of a page is the page's newest flash copy may serve it to
+  /// every snapshot whose handle is >= that copy's commit sequence (the
+  /// version the mappers report with every read and write): it is the
+  /// version the snapshot would resolve on flash. The buffer pool does
+  /// exactly this after Database::OpenSnapshot's flush.
   uint64_t Open();
 
   /// Release a snapshot handle; recomputes and publishes the horizon and

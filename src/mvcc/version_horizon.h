@@ -34,6 +34,12 @@
 
 namespace noftl::mvcc {
 
+/// "No flash copy": the version reported when the copy a request touched is
+/// unknown (failed request, trim, a backend that does not track sequences)
+/// and carried by a buffer frame that equals no flash copy yet. Compares
+/// above every real sequence, so it is never visible to a snapshot.
+inline constexpr uint64_t kNoVersion = ~uint64_t{0};
+
 struct VersionHorizon {
   /// Next commit sequence to hand out (1-based; 0 means "no sequence").
   std::atomic<uint64_t> next_seq{1};

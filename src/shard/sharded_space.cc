@@ -223,6 +223,8 @@ Status ShardedSpace::SubmitBatch(IoBatch* batch, SimTime issue,
     mirror->on_complete = [parent, m](const IoRequest& done_req) {
       parent->status = done_req.status;
       parent->complete = done_req.complete;
+      parent->version = done_req.version;
+      parent->live = done_req.live;
       parent->done = true;
       if (parent->on_complete) parent->on_complete(*parent);
       // Last act: from here on another thread may free `m` and the mirror.

@@ -100,12 +100,16 @@ Status HeapFile::Update(txn::TxnContext* ctx, RecordId rid, Slice record) {
     if (!h.ok()) return h.status();
     SlottedPage sp(h->data, tablespace_->page_size());
     auto cur = sp.Get(rid.slot);
-    if (!cur.ok() || cur->size() == record.size()) {
-      Status s = cur.ok() ? sp.Update(rid.slot, record) : cur.status();
+    if (cur.ok() && cur->size() == record.size()) {
+      // Snapshot readers of this page share the table latch with us: tell
+      // the pool before the bytes change (see AnnounceWrite).
+      pool_->AnnounceWrite(&*h);
+      Status s = sp.Update(rid.slot, record);
       pool_->Unfix(*h, /*dirty=*/s.ok());
       return s;
     }
     pool_->Unfix(*h, /*dirty=*/false);
+    if (!cur.ok()) return cur.status();
   }
   WriterLock lock(latch_);
   auto h = pool_->FixPage(ctx, {tablespace_->tablespace_id(), rid.page_no},

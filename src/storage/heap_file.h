@@ -13,7 +13,14 @@
 // size-changing update (which may compact the page) retries under the
 // exclusive latch. Conflicting access to the same record must be serialized
 // by the caller (TPC-C warehouse locks); the latch protects page and table
-// structure only. Single-thread behaviour is unchanged.
+// structure only. Snapshot readers are the exception: they take no
+// warehouse lock, and the buffer pool may serve them the very frame a
+// same-size update is rewriting. So that path announces its write to the
+// pool before touching the bytes (BufferPool::AnnounceWrite): the pool
+// stops serving the frame to snapshots, and the update waits out the
+// snapshot readers already on it. Every other writer holds the exclusive
+// latch, which keeps snapshot readers out. Single-thread behaviour is
+// unchanged.
 #pragma once
 
 #include <cstdint>

@@ -46,6 +46,7 @@
 #include "common/atomic_counter.h"
 #include "common/sim_clock.h"
 #include "common/status.h"
+#include "mvcc/version_horizon.h"
 
 namespace noftl::storage {
 
@@ -61,9 +62,10 @@ enum class IoOp : uint8_t {
 
 /// One request of a batch. The submission fields (op, lpn, buffers,
 /// object_id, on_complete) are set by the caller; the completion slots
-/// (status, complete, done) are filled when the request retires — at
-/// WaitBatch/PollCompletions time, not at submit. The request object and its
-/// buffers must stay alive (and unmoved) until the batch is reaped.
+/// (status, complete, version, live, done) are filled when the request
+/// retires — at WaitBatch/PollCompletions time, not at submit. The request
+/// object and its buffers must stay alive (and unmoved) until the batch is
+/// reaped.
 struct IoRequest {
   IoOp op = IoOp::kRead;
   uint64_t lpn = 0;
@@ -89,6 +91,20 @@ struct IoRequest {
   // whoever observes `done == true`.
   Status status;
   SimTime complete = 0;
+  /// Commit sequence of the flash copy a read returned or a write
+  /// installed (the mapper's per-lpn sequence; 0 = written before any
+  /// sequence was drawn). A latest read (read_seq 0) made while no snapshot
+  /// is live gets the newest sequence drawn so far instead: never below the
+  /// copy's, and below every snapshot opened after the read, so the latest
+  /// read path skips the per-lpn sequence table. mvcc::kNoVersion when
+  /// unknown: failed requests, trims. The buffer pool stamps it on the
+  /// frame the request fills, so a clean frame can serve every snapshot
+  /// that sees that copy.
+  uint64_t version = mvcc::kNoVersion;
+  /// kRead: the copy read is the live mapping — at a snapshot sequence,
+  /// the page has not been superseded since the snapshot opened — rather
+  /// than a retained older version.
+  bool live = false;
   Relaxed<bool> done = false;
 };
 

@@ -72,24 +72,35 @@ class SpaceProvider {
   }
 
   // --- Single-page convenience wrappers (one-element batches) ---
+  // `version`/`live` (if non-null) receive the request's completion slots
+  // of the same names on success.
 
   Status ReadPage(uint64_t lpn, SimTime issue, char* data, SimTime* complete,
-                  uint64_t read_seq = 0) {
+                  uint64_t read_seq = 0, uint64_t* version = nullptr,
+                  bool* live = nullptr) {
     IoBatch batch;
     batch.AddRead(lpn, data).read_seq = read_seq;
     NOFTL_RETURN_IF_ERROR(RunBatch(&batch, issue, nullptr));
     const IoRequest& r = batch[0];
-    if (r.status.ok() && complete != nullptr) *complete = r.complete;
+    if (r.status.ok()) {
+      if (complete != nullptr) *complete = r.complete;
+      if (version != nullptr) *version = r.version;
+      if (live != nullptr) *live = r.live;
+    }
     return r.status;
   }
 
   Status WritePage(uint64_t lpn, SimTime issue, const char* data,
-                   uint32_t object_id, SimTime* complete) {
+                   uint32_t object_id, SimTime* complete,
+                   uint64_t* version = nullptr) {
     IoBatch batch;
     batch.AddWrite(lpn, data, object_id);
     NOFTL_RETURN_IF_ERROR(RunBatch(&batch, issue, nullptr));
     const IoRequest& r = batch[0];
-    if (r.status.ok() && complete != nullptr) *complete = r.complete;
+    if (r.status.ok()) {
+      if (complete != nullptr) *complete = r.complete;
+      if (version != nullptr) *version = r.version;
+    }
     return r.status;
   }
 

@@ -54,7 +54,8 @@ Status Tablespace::FreePage(uint64_t page_no) {
 }
 
 Status Tablespace::ReadPageRaw(uint64_t page_no, SimTime issue, char* data,
-                               SimTime* complete, uint64_t read_seq) {
+                               SimTime* complete, uint64_t read_seq,
+                               uint64_t* version, bool* live) {
   uint64_t lpn = 0;
   {
     ReaderLock lock(meta_mu_);
@@ -63,11 +64,12 @@ Status Tablespace::ReadPageRaw(uint64_t page_no, SimTime issue, char* data,
     lpn = *r;
     if (io_stats_ != nullptr) io_stats_->RecordRead(page_owner_[page_no]);
   }
-  return space_->ReadPage(lpn, issue, data, complete, read_seq);
+  return space_->ReadPage(lpn, issue, data, complete, read_seq, version, live);
 }
 
 Status Tablespace::WritePageRaw(uint64_t page_no, SimTime issue,
-                                const char* data, SimTime* complete) {
+                                const char* data, SimTime* complete,
+                                uint64_t* version) {
   uint64_t lpn = 0;
   uint32_t object = 0;
   {
@@ -78,7 +80,7 @@ Status Tablespace::WritePageRaw(uint64_t page_no, SimTime issue,
     object = page_owner_[page_no];
     if (io_stats_ != nullptr) io_stats_->RecordWrite(object);
   }
-  return space_->WritePage(lpn, issue, data, object, complete);
+  return space_->WritePage(lpn, issue, data, object, complete, version);
 }
 
 Status Tablespace::SubmitReads(buffer::PageReadReq* reqs, size_t count,
@@ -178,10 +180,13 @@ Status Tablespace::WaitBatch(buffer::PageIoTicket ticket, SimTime* complete) {
   for (size_t k = 0; k < p.read_targets.size(); k++) {
     p.read_targets[k]->status = p.batch[k].status;
     p.read_targets[k]->complete = p.batch[k].complete;
+    p.read_targets[k]->version = p.batch[k].version;
+    p.read_targets[k]->live = p.batch[k].live;
   }
   for (size_t k = 0; k < p.write_targets.size(); k++) {
     p.write_targets[k]->status = p.batch[k].status;
     p.write_targets[k]->complete = p.batch[k].complete;
+    p.write_targets[k]->version = p.batch[k].version;
   }
   if (complete != nullptr) *complete = done;
   return Status::OK();

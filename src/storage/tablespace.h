@@ -79,9 +79,11 @@ class Tablespace : public buffer::PageIo {
   uint32_t tablespace_id() const override { return id_; }
   uint32_t page_size() const override { return space_->page_size(); }
   Status ReadPageRaw(uint64_t page_no, SimTime issue, char* data,
-                     SimTime* complete, uint64_t read_seq = 0) override;
+                     SimTime* complete, uint64_t read_seq = 0,
+                     uint64_t* version = nullptr,
+                     bool* live = nullptr) override;
   Status WritePageRaw(uint64_t page_no, SimTime issue, const char* data,
-                      SimTime* complete) override;
+                      SimTime* complete, uint64_t* version = nullptr) override;
   /// Queued variants: resolve every page and cross the provider boundary
   /// once, as a single queued IoBatch submission (cross-die overlap below)
   /// that stays in flight until WaitBatch delivers the slots.

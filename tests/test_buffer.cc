@@ -26,8 +26,13 @@ class FakeTablespace : public PageIo {
   uint32_t page_size() const override { return kPageSize; }
 
   Status ReadPageRaw(uint64_t page_no, SimTime issue, char* data,
-                     SimTime* complete, uint64_t read_seq = 0) override {
-    (void)read_seq;  // the fake stores only the latest copy
+                     SimTime* complete, uint64_t read_seq = 0,
+                     uint64_t* version = nullptr,
+                     bool* live = nullptr) override {
+    // The fake stores only the latest copy and tracks no versions.
+    (void)read_seq;
+    (void)version;
+    (void)live;
     reads++;
     auto it = store_.find(page_no);
     if (it == store_.end()) return Status::NotFound("page never written");
@@ -37,7 +42,8 @@ class FakeTablespace : public PageIo {
   }
 
   Status WritePageRaw(uint64_t page_no, SimTime issue, const char* data,
-                      SimTime* complete) override {
+                      SimTime* complete, uint64_t* version = nullptr) override {
+    (void)version;
     writes++;
     store_[page_no].assign(data, data + kPageSize);
     *complete = issue + write_us_;

@@ -13,8 +13,11 @@
 //     byte-identically, and a torn delta falls back to the older epoch.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -23,6 +26,7 @@
 #include "ftl/mapping.h"
 #include "index/btree.h"
 #include "mvcc/snapshot_manager.h"
+#include "storage/heap_file.h"
 
 namespace noftl::mvcc {
 namespace {
@@ -391,6 +395,267 @@ TEST(Mvcc, BTreeSnapshotScanSurvivesFreedAndReusedLeaves) {
   }
   EXPECT_TRUE((*db)->buffer()->VerifyIntegrity().ok());
   EXPECT_EQ(scan(&ctx), latest);
+}
+
+/// A small native-flash database with region `r` and tablespace `ts`
+/// (512-byte pages: 20 B-tree entries per node).
+std::unique_ptr<db::Database> SmallDb(uint32_t frames) {
+  db::DatabaseOptions o;
+  o.geometry.channels = 2;
+  o.geometry.dies_per_channel = 2;
+  o.geometry.planes_per_die = 1;
+  o.geometry.blocks_per_die = 64;
+  o.geometry.pages_per_block = 16;
+  o.geometry.page_size = 512;
+  o.buffer.frame_count = frames;
+  o.default_extent_pages = 8;
+  auto db = db::Database::Open(o);
+  EXPECT_TRUE(db.ok()) << db.status().ToString();
+  if (!db.ok()) return nullptr;
+  EXPECT_TRUE((*db)->ExecuteDdl("CREATE REGION r (MAX_CHIPS=4)").ok());
+  EXPECT_TRUE((*db)->ExecuteDdl("CREATE TABLESPACE ts (REGION=r)").ok());
+  return std::move(*db);
+}
+
+std::map<uint64_t, uint64_t> ScanAll(index::BTree* tree, txn::TxnContext* c) {
+  std::map<uint64_t, uint64_t> out;
+  EXPECT_TRUE(tree->ScanRange(c, index::Key128::Min(), index::Key128::Max(),
+                              [&](index::Key128 k, uint64_t v) {
+                                out[k.hi] = v;
+                                return true;
+                              })
+                  .ok());
+  return out;
+}
+
+/// Flash reads so far: device reads of every origin, and the mappers'
+/// snapshot-resolved reads.
+std::pair<uint64_t, uint64_t> FlashReads(db::Database* db) {
+  uint64_t snapshot_reads = 0;
+  for (auto* rg : db->regions()->regions()) {
+    snapshot_reads += rg->mapper().stats().snapshot_reads;
+  }
+  return {db->device()->stats().total_reads(), snapshot_reads};
+}
+
+/// Fixed-size row whose bytes spell `value`.
+std::string Row(uint64_t value) {
+  std::string row(48, '\0');
+  snprintf(row.data(), row.size(), "row-%020llu",
+           static_cast<unsigned long long>(value));
+  return row;
+}
+
+TEST(Mvcc, BTreeSnapshotScanSurvivesRootSplits) {
+  // The root page and height live in memory. A snapshot must descend from
+  // the root the tree had at the open, not from one a later split made
+  // (which has no flash copy at the snapshot). The other index makes the
+  // tree's first root a page other than 0.
+  auto db = SmallDb(64);
+  ASSERT_NE(db, nullptr);
+  ASSERT_TRUE(db->CreateIndex("other", "ts").ok());
+  auto tree = db->CreateIndex("idx", "ts");
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  txn::TxnContext ctx;
+  std::map<uint64_t, uint64_t> before;
+  for (uint64_t k = 0; k < 15; k++) {
+    ASSERT_TRUE((*tree)->Insert(&ctx, {k, 0}, k + 7).ok());
+    before[k] = k + 7;
+  }
+  ASSERT_EQ((*tree)->height(), 1u);
+  auto snap = db->OpenSnapshot(&ctx);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+
+  std::map<uint64_t, uint64_t> after = before;
+  for (uint64_t k = 15; k < 315; k++) {
+    ASSERT_TRUE((*tree)->Insert(&ctx, {k, 0}, k + 7).ok());
+    after[k] = k + 7;
+  }
+  ASSERT_EQ((*tree)->height(), 3u);
+  ASSERT_TRUE(db->buffer()->FlushAll(&ctx).ok());
+
+  txn::TxnContext snap_ctx;
+  snap_ctx.now = ctx.now;
+  snap_ctx.snapshot_seq = *snap;
+  EXPECT_EQ(ScanAll(*tree, &snap_ctx), before);
+  auto lookup = (*tree)->Lookup(&snap_ctx, {14, 0});
+  ASSERT_TRUE(lookup.ok()) << lookup.status().ToString();
+  EXPECT_EQ(*lookup, 21u);
+  EXPECT_TRUE((*tree)->Lookup(&snap_ctx, {200, 0}).status().IsNotFound());
+
+  // A snapshot opened after the splits reads from the new root.
+  auto later = db->OpenSnapshot(&ctx);
+  ASSERT_TRUE(later.ok());
+  txn::TxnContext later_ctx;
+  later_ctx.now = ctx.now;
+  later_ctx.snapshot_seq = *later;
+  EXPECT_EQ(ScanAll(*tree, &later_ctx), after);
+  EXPECT_EQ(ScanAll(*tree, &ctx), after);
+
+  db->ReleaseSnapshot(*snap);
+  db->ReleaseSnapshot(*later);
+  EXPECT_TRUE(db->snapshots()->Verify().ok());
+  EXPECT_TRUE(db->buffer()->VerifyIntegrity().ok());
+}
+
+TEST(Mvcc, SnapshotScanOfUnmodifiedResidentIndexReadsNoFlash) {
+  // Read-through: once the open has flushed, every clean latest-class frame
+  // holds a copy the snapshot sees, so a scan of a resident index nothing
+  // modified is all pool hits — no flash read, no version-class frame.
+  auto db = SmallDb(256);
+  ASSERT_NE(db, nullptr);
+  auto tree = db->CreateIndex("idx", "ts");
+  ASSERT_TRUE(tree.ok());
+  txn::TxnContext ctx;
+  for (uint64_t k = 0; k < 400; k++) {
+    ASSERT_TRUE((*tree)->Insert(&ctx, {k, 0}, k * 5).ok());
+  }
+  ASSERT_GE((*tree)->height(), 2u);
+  ASSERT_LT((*tree)->page_count(), 128u);  // comfortably resident
+  const auto latest = ScanAll(*tree, &ctx);
+  ASSERT_EQ(latest.size(), 400u);
+
+  auto snap = db->OpenSnapshot(&ctx);
+  ASSERT_TRUE(snap.ok());
+  txn::TxnContext snap_ctx;
+  snap_ctx.now = ctx.now;
+  snap_ctx.snapshot_seq = *snap;
+  const auto reads_before = FlashReads(db.get());
+  const uint64_t hits_before = db->buffer()->stats().hits;
+  EXPECT_EQ(ScanAll(*tree, &snap_ctx), latest);
+  const auto reads_after = FlashReads(db.get());
+  EXPECT_EQ(reads_after.first, reads_before.first);    // device reads
+  EXPECT_EQ(reads_after.second, reads_before.second);  // snapshot reads
+  EXPECT_EQ(snap_ctx.pages_read, 0u);
+  EXPECT_GT(db->buffer()->stats().hits, hits_before);
+  EXPECT_EQ(db->buffer()->VersionClassFrames(), 0u);
+  db->ReleaseSnapshot(*snap);
+  EXPECT_TRUE(db->buffer()->VerifyIntegrity().ok());
+}
+
+TEST(Mvcc, PagesModifiedAfterOpenReadBackTheirPreOpenContents) {
+  // Same-size heap updates, index inserts (with splits) and heap inserts
+  // after the open: the snapshot reads every row and key as of the open,
+  // whether the modified frame is still dirty, written back clean with a
+  // newer version, or evicted.
+  auto db = SmallDb(128);
+  ASSERT_NE(db, nullptr);
+  auto heap = db->CreateTable("t", "ts");
+  ASSERT_TRUE(heap.ok());
+  auto tree = db->CreateIndex("idx", "ts");
+  ASSERT_TRUE(tree.ok());
+  txn::TxnContext ctx;
+  std::vector<storage::RecordId> rids;
+  std::map<uint64_t, uint64_t> keys_before;
+  for (uint64_t i = 0; i < 60; i++) {
+    auto rid = (*heap)->Insert(&ctx, Row(i));
+    ASSERT_TRUE(rid.ok());
+    rids.push_back(*rid);
+    ASSERT_TRUE((*tree)->Insert(&ctx, {i * 10, 0}, rid->Pack()).ok());
+    keys_before[i * 10] = rid->Pack();
+  }
+  auto snap = db->OpenSnapshot(&ctx);
+  ASSERT_TRUE(snap.ok());
+
+  for (uint64_t i = 0; i < rids.size(); i += 2) {
+    ASSERT_TRUE((*heap)->Update(&ctx, rids[i], Row(1000 + i)).ok());
+  }
+  for (uint64_t i = 0; i < 60; i++) {
+    ASSERT_TRUE((*tree)->Insert(&ctx, {i * 10 + 5, 0}, i).ok());
+    ASSERT_TRUE((*heap)->Insert(&ctx, Row(5000 + i)).ok());
+  }
+
+  txn::TxnContext snap_ctx;
+  snap_ctx.snapshot_seq = *snap;
+  auto check = [&](const char* phase) {
+    SCOPED_TRACE(phase);
+    snap_ctx.now = ctx.now;
+    for (uint64_t i = 0; i < rids.size(); i++) {
+      auto old_row = (*heap)->Read(&snap_ctx, rids[i]);
+      ASSERT_TRUE(old_row.ok()) << old_row.status().ToString();
+      EXPECT_EQ(*old_row, Row(i)) << "row " << i;
+      auto new_row = (*heap)->Read(&ctx, rids[i]);
+      ASSERT_TRUE(new_row.ok());
+      EXPECT_EQ(*new_row, Row(i % 2 == 0 ? 1000 + i : i)) << "row " << i;
+    }
+    uint64_t rows_at_snapshot = 0;
+    ASSERT_TRUE((*heap)
+                    ->Scan(&snap_ctx,
+                           [&](storage::RecordId, Slice) {
+                             rows_at_snapshot++;
+                             return true;
+                           })
+                    .ok());
+    EXPECT_EQ(rows_at_snapshot, 60u);
+    EXPECT_EQ(ScanAll(*tree, &snap_ctx), keys_before);
+    EXPECT_EQ(ScanAll(*tree, &ctx).size(), 120u);
+    EXPECT_TRUE(db->buffer()->VerifyIntegrity().ok());
+  };
+  check("modified frames dirty");
+  ASSERT_TRUE(db->buffer()->FlushAll(&ctx).ok());
+  check("modified frames written back");
+  for (const storage::RecordId& rid : rids) {
+    db->buffer()->Discard({db->GetTablespace("ts")->tablespace_id(),
+                           rid.page_no});
+  }
+  check("heap frames evicted");
+  db->ReleaseSnapshot(*snap);
+  EXPECT_TRUE(db->snapshots()->Verify().ok());
+}
+
+TEST(Mvcc, SnapshotMissOnSupersededPageLandsInVersionClass) {
+  auto db = SmallDb(64);
+  ASSERT_NE(db, nullptr);
+  auto heap = db->CreateTable("t", "ts");
+  ASSERT_TRUE(heap.ok());
+  const uint32_t ts_id = db->GetTablespace("ts")->tablespace_id();
+  txn::TxnContext ctx;
+  auto kept = (*heap)->Insert(&ctx, Row(1));
+  ASSERT_TRUE(kept.ok());
+  // A second row on a page of its own (the rows fill a page each).
+  std::string big(400, 'x');
+  ASSERT_TRUE((*heap)->Insert(&ctx, big).ok());
+  auto moved = (*heap)->Insert(&ctx, Row(2));
+  ASSERT_TRUE(moved.ok());
+  ASSERT_NE(kept->page_no, moved->page_no);
+
+  auto snap = db->OpenSnapshot(&ctx);
+  ASSERT_TRUE(snap.ok());
+  ASSERT_TRUE((*heap)->Update(&ctx, *moved, Row(3)).ok());
+  ASSERT_TRUE(db->buffer()->FlushAll(&ctx).ok());
+  db->buffer()->Discard({ts_id, moved->page_no});
+  db->buffer()->Discard({ts_id, kept->page_no});
+
+  txn::TxnContext snap_ctx;
+  snap_ctx.now = ctx.now;
+  snap_ctx.snapshot_seq = *snap;
+  // The unmodified page's live copy is what the snapshot sees: it loads
+  // into the latest class, where a latest read then hits it.
+  auto k = (*heap)->Read(&snap_ctx, *kept);
+  ASSERT_TRUE(k.ok());
+  EXPECT_EQ(*k, Row(1));
+  EXPECT_EQ(db->buffer()->VersionClassFrames(), 0u);
+  const uint64_t reads = ctx.pages_read;
+  ASSERT_TRUE((*heap)->Read(&ctx, *kept).ok());
+  EXPECT_EQ(ctx.pages_read, reads);
+
+  // The superseded page reads the retained copy into the version class...
+  auto old_row = (*heap)->Read(&snap_ctx, *moved);
+  ASSERT_TRUE(old_row.ok());
+  EXPECT_EQ(*old_row, Row(2));
+  EXPECT_EQ(db->buffer()->VersionClassFrames(), 1u);
+  // ... so a latest fix still sees the latest bytes,
+  auto new_row = (*heap)->Read(&ctx, *moved);
+  ASSERT_TRUE(new_row.ok());
+  EXPECT_EQ(*new_row, Row(3));
+  // ... after which the snapshot keeps hitting its version-class frame.
+  const auto flash_before = FlashReads(db.get());
+  old_row = (*heap)->Read(&snap_ctx, *moved);
+  ASSERT_TRUE(old_row.ok());
+  EXPECT_EQ(*old_row, Row(2));
+  EXPECT_EQ(FlashReads(db.get()), flash_before);
+  EXPECT_TRUE(db->buffer()->VerifyIntegrity().ok());
+  db->ReleaseSnapshot(*snap);
 }
 
 TEST(MvccCheckpoint, IncrementalRoundTrip) {

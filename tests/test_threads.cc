@@ -9,15 +9,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstring>
 #include <memory>
+#include <shared_mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
+#include "db/database.h"
 #include "flash/device.h"
 #include "noftl/region_manager.h"
 #include "shard/sharded_space.h"
+#include "storage/heap_file.h"
 #include "storage/space_provider.h"
 #include "test_harness.h"
 #include "tpcc/driver.h"
@@ -383,6 +388,128 @@ TEST(ThreadsBufferTest, ConcurrentFixUnfixFetchWithEviction) {
   EXPECT_GT(static_cast<uint64_t>(stats.evictions), 0u);
   EXPECT_GT(static_cast<uint64_t>(stats.hits), 0u);
   EXPECT_TRUE(stack.rg->mapper().VerifyIntegrity().ok());
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot reads vs. same-size heap updates on the same rows.
+// ---------------------------------------------------------------------------
+
+/// Fixed-size row `r` holding value `v`.
+std::string StressRow(uint64_t r, uint64_t v) {
+  std::string row(48, '\0');
+  snprintf(row.data(), row.size(), "r=%04llu v=%020llu",
+           static_cast<unsigned long long>(r), static_cast<unsigned long long>(v));
+  return row;
+}
+
+TEST(ThreadsMvccTest, SnapshotReadsIsolatedFromSameSizeUpdates) {
+  // Writers rewrite rows in place (the same-size HeapFile::Update path runs
+  // under a shared table latch) while snapshot readers, who take no
+  // warehouse-style lock, read the same rows. The pool serves a snapshot
+  // from the latest-class frame whenever it is clean, so the one thing
+  // keeping a reader from copying bytes a writer is changing is the
+  // writer's announcement. Every snapshot read must return the value as of
+  // the open. The test's own gate only orders the open against the
+  // writers, so the expected values are known; the reads run unguarded.
+  db::DatabaseOptions o;
+  o.geometry = SmallGeo();
+  o.buffer.frame_count = 16;
+  o.default_extent_pages = 4;
+  auto opened = db::Database::Open(o);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  db::Database* db = opened->get();
+  ASSERT_TRUE(db->ExecuteDdl("CREATE REGION r (MAX_CHIPS=4)").ok());
+  ASSERT_TRUE(db->ExecuteDdl("CREATE TABLESPACE ts (REGION=r)").ok());
+  auto heap = db->CreateTable("t", "ts");
+  ASSERT_TRUE(heap.ok());
+
+  const int kWriters = 2;
+  const int kReaders = 2;
+  const uint64_t kRows = 16;  // two pages: every reader meets every writer
+  const int kSnapshots = 150;
+  const int kPasses = 3;
+  txn::TxnContext load;
+  std::vector<storage::RecordId> rids;
+  std::vector<std::atomic<uint64_t>> value(kRows);
+  for (uint64_t r = 0; r < kRows; r++) {
+    auto rid = (*heap)->Insert(&load, StressRow(r, 0));
+    ASSERT_TRUE(rid.ok());
+    rids.push_back(*rid);
+    value[r] = 0;
+  }
+
+  std::shared_mutex gate;  // writers shared per update, an open exclusive
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::atomic<uint64_t> updates{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; w++) {
+    threads.emplace_back([&, w] {
+      txn::TxnContext ctx;
+      Rng rng(101 + w);
+      while (!stop) {
+        // Writers own disjoint rows, as warehouse locks would make them.
+        const uint64_t r =
+            static_cast<uint64_t>(w) + kWriters * rng.Below(kRows / kWriters);
+        std::shared_lock<std::shared_mutex> lock(gate);
+        const uint64_t next = value[r] + 1;
+        if (!(*heap)->Update(&ctx, rids[r], StressRow(r, next)).ok()) {
+          failures++;
+          return;
+        }
+        value[r] = next;
+        updates++;
+      }
+    });
+  }
+  for (int t = 0; t < kReaders; t++) {
+    threads.emplace_back([&] {
+      txn::TxnContext ctx;
+      for (int i = 0; i < kSnapshots && failures == 0; i++) {
+        std::vector<uint64_t> expected(kRows);
+        uint64_t snap = 0;
+        {
+          std::unique_lock<std::shared_mutex> lock(gate);
+          auto s = db->OpenSnapshot(&ctx);
+          if (!s.ok()) {
+            failures++;
+            return;
+          }
+          snap = *s;
+          for (uint64_t r = 0; r < kRows; r++) expected[r] = value[r];
+        }
+        ctx.snapshot_seq = snap;
+        for (int pass = 0; pass < kPasses; pass++) {
+          for (uint64_t r = 0; r < kRows; r++) {
+            auto row = (*heap)->Read(&ctx, rids[r]);
+            if (!row.ok() || *row != StressRow(r, expected[r])) {
+              ADD_FAILURE() << "snapshot " << snap << " row " << r << ": "
+                            << (row.ok() ? *row : row.status().ToString())
+                            << " != " << StressRow(r, expected[r]);
+              failures++;
+              break;
+            }
+          }
+        }
+        ctx.snapshot_seq = 0;
+        db->ReleaseSnapshot(snap);
+      }
+    });
+  }
+  for (int t = kWriters; t < kWriters + kReaders; t++) threads[t].join();
+  stop = true;
+  for (int t = 0; t < kWriters; t++) threads[t].join();
+
+  EXPECT_EQ(failures, 0);
+  EXPECT_GT(updates.load(), 0u);
+  EXPECT_EQ(db->snapshots()->live_count(), 0u);
+  EXPECT_TRUE(db->snapshots()->Verify().ok());
+  EXPECT_TRUE(db->buffer()->VerifyIntegrity().ok());
+  for (uint64_t r = 0; r < kRows; r++) {
+    auto row = (*heap)->Read(&load, rids[r]);
+    ASSERT_TRUE(row.ok());
+    EXPECT_EQ(*row, StressRow(r, value[r]));
+  }
 }
 
 // ---------------------------------------------------------------------------
